@@ -51,7 +51,7 @@ def _region(
         region = runtime.space.map_region(size, Protection.RW, RegionKind.TEST, label)
         if size:
             region.poke(region.base, (fill * size)[:size])
-        region.prot = prot
+        runtime.space.protect(region, prot)
         return region.base
 
     return PoolValue(label, build)
@@ -63,7 +63,7 @@ def _string(label: str, content: bytes, prot: Protection, exceptional: bool) -> 
             len(content) + 1, Protection.RW, RegionKind.TEST, label
         )
         region.poke(region.base, content + b"\x00")
-        region.prot = prot
+        runtime.space.protect(region, prot)
         return region.base
 
     return PoolValue(label, build, exceptional=exceptional)

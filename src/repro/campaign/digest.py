@@ -2,7 +2,7 @@
 
 A cached :class:`~repro.injector.InjectionReport` is only valid while
 everything that determined it is unchanged.  The digest therefore
-covers the four inputs of one per-function injection campaign:
+covers every input of one per-function injection campaign:
 
 1. the **function spec** — name, prototype, headers, symbol version,
    variadic flag, and the model's import path (a renamed or moved
@@ -27,13 +27,6 @@ covers the four inputs of one per-function injection campaign:
    outcomes under different model parameters — never alias.  An
    empty model set adds nothing, keeping every pre-existing digest
    stable.
-7. the **armed sampling policy** — when a campaign runs with
-   ``sampling``, the :func:`repro.injector.sampling_fingerprint`
-   block (SAMPLING_VERSION, mode, confidence, epsilon, seed policy,
-   caps) joins the document, so sampled outcomes never alias
-   exhaustive ones — or outcomes sampled under a different policy.
-   Unarmed sampling adds nothing: exhaustive digests stay
-   byte-identical to digests minted before sampling existed.
 
 Digests are sha256 over a canonical JSON encoding; two campaign runs
 agree on a function's digest iff they would run the identical
@@ -50,11 +43,6 @@ from repro.cdecl import DeclarationParser, typedef_table
 from repro.faults.model import FaultModelsSpec, faults_fingerprint, resolve_fault_models
 from repro.generators.select import generators_for
 from repro.injector import MAX_RETRIES, MAX_VECTORS, MEMO_POLICY, PLAN_VERSION
-from repro.injector.sampling import (
-    SamplingSpec,
-    resolve_sampling,
-    sampling_fingerprint,
-)
 from repro.libc.catalog import FunctionSpec
 from repro.typelattice import LATTICE_VERSION
 
@@ -105,7 +93,6 @@ def outcome_digest(
     lattice_version: str = LATTICE_VERSION,
     parser: Optional[DeclarationParser] = None,
     fault_models: FaultModelsSpec = (),
-    sampling: SamplingSpec = None,
 ) -> str:
     """The content address of one function's injection outcome."""
     document = {
@@ -121,10 +108,6 @@ def outcome_digest(
         # Only added when armed: the no-fault digest must stay
         # byte-identical to digests minted before this key existed.
         document["faults"] = faults_fingerprint(models)
-    policy = resolve_sampling(sampling)
-    if policy is not None:
-        # Same only-when-armed rule: exhaustive digests never move.
-        document["sampling"] = sampling_fingerprint(policy)
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

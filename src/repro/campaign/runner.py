@@ -44,12 +44,7 @@ from repro.campaign.scheduler import (
 from repro.campaign.store import OutcomeStore, report_from_payload, report_to_payload
 from repro.cdecl import DeclarationParser, typedef_table
 from repro.faults.model import canonical_fault_specs
-from repro.injector import (
-    FaultInjector,
-    InjectionReport,
-    MAX_VECTORS,
-    canonical_sampling_spec,
-)
+from repro.injector import FaultInjector, InjectionReport, MAX_VECTORS
 from repro.libc.catalog import BY_NAME, FunctionSpec
 from repro.obs.telemetry import NULL_TELEMETRY
 
@@ -89,11 +84,6 @@ class CampaignConfig:
     #: hashable, and picklable across the fleet boundary.  Use
     #: :func:`repro.faults.canonical_fault_specs` to normalize.
     fault_models: tuple[str, ...] = ()
-    #: Armed sampling policy as a canonical spec string (see
-    #: ``repro.injector.sampling``); None runs exhaustively.  Kept as
-    #: a string for the same frozen/picklable reasons as fault_models;
-    #: use :func:`repro.injector.canonical_sampling_spec` to normalize.
-    sampling: Optional[str] = None
 
 
 @dataclass
@@ -123,8 +113,6 @@ class CampaignResult:
     workers: int = 1
     #: Canonical spec strings of the fault models the campaign armed.
     fault_models: tuple[str, ...] = ()
-    #: Canonical spec of the armed sampling policy (None = exhaustive).
-    sampling: Optional[str] = None
 
     @property
     def cache_hits(self) -> int:
@@ -152,19 +140,17 @@ def _inject_payload(
     name: str,
     max_vectors: int = MAX_VECTORS,
     fault_models: tuple[str, ...] = (),
-    sampling: Optional[str] = None,
 ) -> dict:
     """Run one function's injector and serialize the report.
 
     Serialization happens worker-side so only a JSON-able dict crosses
     the process boundary and the parent can persist it verbatim.
-    ``fault_models`` and ``sampling`` travel as canonical spec strings
-    and are resolved to instances here, inside the worker.
+    ``fault_models`` travels as canonical spec strings and is resolved
+    to model instances here, inside the worker.
     """
     spec = BY_NAME[name]
     report = FaultInjector(
-        spec, max_vectors=max_vectors, fault_models=fault_models,
-        sampling=sampling,
+        spec, max_vectors=max_vectors, fault_models=fault_models
     ).run()
     return report_to_payload(report, spec.prototype)
 
@@ -196,11 +182,6 @@ class CampaignRunner:
             config = replace(
                 config, fault_models=canonical_fault_specs(config.fault_models)
             )
-        if config.sampling != canonical_sampling_spec(config.sampling):
-            # Same eager canonicalization for the sampling policy.
-            config = replace(
-                config, sampling=canonical_sampling_spec(config.sampling)
-            )
         self.config = config
         self.telemetry = telemetry
         self.progress = progress
@@ -227,7 +208,6 @@ class CampaignRunner:
                     max_vectors=config.max_vectors,
                     parser=self.parser,
                     fault_models=config.fault_models,
-                    sampling=config.sampling,
                 )
                 for spec in self.specs
             }
@@ -320,7 +300,6 @@ class CampaignRunner:
                         cache_dir=config.cache_dir,
                         address=config.fleet_address,
                         fault_models=config.fault_models,
-                        sampling=config.sampling,
                     )
                 else:
                     run_tasks(
@@ -329,7 +308,6 @@ class CampaignRunner:
                             _inject_payload,
                             max_vectors=config.max_vectors,
                             fault_models=config.fault_models,
-                            sampling=config.sampling,
                         ),
                         jobs=config.jobs,
                         timeout=config.timeout,
@@ -354,7 +332,6 @@ class CampaignRunner:
             phase_timings=timings, campaign=ident,
             fleet_mode=fleet_mode, workers=workers,
             fault_models=config.fault_models,
-            sampling=config.sampling,
         )
         if config.ledger is not None:
             self._ingest_ledger(result)
@@ -427,7 +404,6 @@ class CampaignRunner:
             ),
             "fleet": self.config.fleet,
             "fault_models": list(self.config.fault_models),
-            "sampling": self.config.sampling,
             "functions": [
                 {
                     "name": name,

@@ -24,12 +24,7 @@ from typing import Optional
 from repro.campaign.digest import CACHE_SCHEMA
 from repro.cdecl import DeclarationParser, typedef_table
 from repro.faults.model import ScenarioEvidence
-from repro.injector import (
-    ArgumentSamplingEvidence,
-    ErrnoClassification,
-    InjectionReport,
-    SamplingEvidence,
-)
+from repro.injector import ErrnoClassification, InjectionReport
 from repro.typelattice import RobustType, TestResult, TypeInstance, VectorObservation
 
 
@@ -140,28 +135,6 @@ def report_to_payload(report: InjectionReport, prototype_text: str) -> dict:
             if report.fault_evidence
             else {}
         ),
-        # Sampling provenance rides along only when a policy was armed
-        # (same byte-honesty rule as fault_evidence): exhaustive
-        # payloads stay byte-identical to pre-sampling ones.
-        **(
-            {
-                "sampling": {
-                    "mode": report.sampling.mode,
-                    "policy": report.sampling.policy,
-                    "vectors_total": report.sampling.vectors_total,
-                    "vectors_run": report.sampling.vectors_run,
-                    "vectors_skipped": report.sampling.vectors_skipped,
-                    "confidence": report.sampling.confidence,
-                    "arguments": [
-                        [a.templates, a.crashes, a.hangs, a.passes,
-                         a.stable_draws, a.confidence]
-                        for a in report.sampling.arguments
-                    ],
-                }
-            }
-            if report.sampling is not None
-            else {}
-        ),
     }
 
 
@@ -211,27 +184,6 @@ def report_from_payload(
             for model, scenario, vectors, crashes, hangs, baseline
             in payload.get("fault_evidence", [])
         ],
-        sampling=(
-            SamplingEvidence(
-                mode=payload["sampling"]["mode"],
-                policy=payload["sampling"]["policy"],
-                vectors_total=payload["sampling"]["vectors_total"],
-                vectors_run=payload["sampling"]["vectors_run"],
-                vectors_skipped=payload["sampling"]["vectors_skipped"],
-                confidence=payload["sampling"]["confidence"],
-                arguments=tuple(
-                    ArgumentSamplingEvidence(
-                        templates=templates, crashes=crashes, hangs=hangs,
-                        passes=passes, stable_draws=stable,
-                        confidence=confidence,
-                    )
-                    for templates, crashes, hangs, passes, stable, confidence
-                    in payload["sampling"]["arguments"]
-                ),
-            )
-            if "sampling" in payload
-            else None
-        ),
     )
 
 

@@ -113,34 +113,6 @@ def _fault_models_arg(args: argparse.Namespace):
         return None
 
 
-#: Sentinel: ``--sampling``/``--confidence`` failed to parse (None
-#: means "not armed", so the error path needs a distinct value).
-_SAMPLING_ERROR = object()
-
-
-def _sampling_arg(args: argparse.Namespace):
-    """Canonical sampling spec from ``--sampling``/``--confidence``,
-    None when neither flag is given (exhaustive), or
-    :data:`_SAMPLING_ERROR` after printing the parse error."""
-    from repro.injector import SamplingSpecError, canonical_sampling_spec
-
-    spec = getattr(args, "sampling", None)
-    confidence = getattr(args, "confidence", None)
-    if spec is None and confidence is None:
-        return None
-    if spec is None:
-        spec = "adaptive"
-    if confidence is not None:
-        # Later keys win during parsing, so the shortcut flag can
-        # override a confidence already present in --sampling.
-        spec = f"{spec}:confidence={confidence}"
-    try:
-        return canonical_sampling_spec(spec)
-    except SamplingSpecError as exc:
-        print(str(exc), file=sys.stderr)
-        return _SAMPLING_ERROR
-
-
 def _campaign_requested(args: argparse.Namespace) -> bool:
     return bool(
         getattr(args, "jobs", 1) > 1
@@ -149,7 +121,7 @@ def _campaign_requested(args: argparse.Namespace) -> bool:
     )
 
 
-def _campaign_config(args: argparse.Namespace, fault_models=(), sampling=None):
+def _campaign_config(args: argparse.Namespace, fault_models=()):
     from repro.campaign import CampaignConfig
 
     cache_dir = getattr(args, "cache_dir", None)
@@ -158,7 +130,6 @@ def _campaign_config(args: argparse.Namespace, fault_models=(), sampling=None):
         cache_dir=Path(cache_dir) if cache_dir else None,
         resume=getattr(args, "resume", False),
         fault_models=tuple(fault_models),
-        sampling=sampling,
     )
 
 
@@ -173,9 +144,6 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         return 2
     fault_models = _fault_models_arg(args)
     if fault_models is None:
-        return 2
-    sampling = _sampling_arg(args)
-    if sampling is _SAMPLING_ERROR:
         return 2
     telemetry = _telemetry_for(args)
     rows: list[dict[str, object]] = []
@@ -202,14 +170,6 @@ def _cmd_inject(args: argparse.Namespace) -> int:
             }
             if report.fault_evidence:
                 row["unsafe_scenarios"] = list(report.unsafe_scenarios)
-            if report.sampling is not None:
-                row["sampling"] = {
-                    "mode": report.sampling.mode,
-                    "policy": report.sampling.policy,
-                    "vectors_total": report.sampling.vectors_total,
-                    "vectors_run": report.sampling.vectors_run,
-                    "vectors_skipped": report.sampling.vectors_skipped,
-                }
             rows.append(row)
         else:
             print(declaration.to_xml())
@@ -221,7 +181,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
         runner = CampaignRunner(
             functions=args.functions,
-            config=_campaign_config(args, fault_models, sampling),
+            config=_campaign_config(args, fault_models),
             telemetry=telemetry,
         )
         result = runner.run()
@@ -233,8 +193,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         with telemetry.span("campaign", kind="inject", functions=len(args.functions)):
             for name in args.functions:
                 emit(name, inject_function(
-                    name, telemetry=telemetry, fault_models=fault_models,
-                    sampling=sampling,
+                    name, telemetry=telemetry, fault_models=fault_models
                 ))
     if args.json:
         print(json.dumps(rows, indent=2))
@@ -253,9 +212,6 @@ def _cmd_harden(args: argparse.Namespace) -> int:
     fault_models = _fault_models_arg(args)
     if fault_models is None:
         return 2
-    sampling = _sampling_arg(args)
-    if sampling is _SAMPLING_ERROR:
-        return 2
     telemetry = _telemetry_for(args)
     progress = None
     if not args.json:
@@ -270,7 +226,6 @@ def _cmd_harden(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         resume=args.resume,
         fault_models=fault_models,
-        sampling=sampling,
     )
     hardened = pipeline.run()
     out = Path(args.output)
@@ -331,9 +286,6 @@ def _cmd_ballista(args: argparse.Namespace) -> int:
     fault_models = _fault_models_arg(args)
     if fault_models is None:
         return 2
-    sampling = _sampling_arg(args)
-    if sampling is _SAMPLING_ERROR:
-        return 2
     telemetry = _telemetry_for(args)
     if args.functions:
         hardened = HealersPipeline(
@@ -343,7 +295,6 @@ def _cmd_ballista(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             resume=args.resume,
             fault_models=fault_models,
-            sampling=sampling,
         ).run()
         harness = BallistaHarness(
             functions=[BY_NAME[n] for n in args.functions], telemetry=telemetry
@@ -355,7 +306,6 @@ def _cmd_ballista(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             resume=args.resume,
             fault_models=fault_models,
-            sampling=sampling,
         ).run()
         harness = BallistaHarness(total_target=11995, telemetry=telemetry)
     else:
@@ -424,9 +374,6 @@ def _campaign_run(args: argparse.Namespace, cache_dir: Path) -> int:
     fault_models = _fault_models_arg(args)
     if fault_models is None:
         return 2
-    sampling = _sampling_arg(args)
-    if sampling is _SAMPLING_ERROR:
-        return 2
     telemetry = _telemetry_for(args)
     progress = None
     if not args.json:
@@ -442,7 +389,6 @@ def _campaign_run(args: argparse.Namespace, cache_dir: Path) -> int:
             fleet=args.fleet, workers=args.workers,
             fleet_address=args.connect,
             fault_models=fault_models,
-            sampling=sampling,
         ),
         telemetry=telemetry,
         progress=progress,
@@ -468,7 +414,6 @@ def _campaign_summary(result) -> dict[str, object]:
         "fleet_mode": result.fleet_mode,
         "workers": result.workers,
         "fault_models": list(result.fault_models),
-        "sampling": result.sampling,
         "cached": result.cache_hits,
         "ran": result.ran,
         "failed": result.failed,
@@ -905,13 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--resume", action="store_true",
                          help="continue an interrupted campaign from its "
                               "checkpoint manifest")
-        cmd.add_argument("--sampling", metavar="SPEC",
-                         help="statistical vector sampling: 'adaptive' or "
-                              "'adaptive:confidence=0.99:epsilon=0.12:"
-                              "min_samples=8:check_every=8:seed=0'")
-        cmd.add_argument("--confidence", type=float, default=None, metavar="C",
-                         help="shortcut: arm adaptive sampling at this "
-                              "confidence (implies --sampling adaptive)")
         cmd.add_argument("--fault-models", metavar="SPEC",
                          help="arm fault-model scenarios: comma-separated "
                               "specs like 'resource,signal:offsets=1|64' "
@@ -977,13 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--ledger", metavar="DB",
                               help="ingest the finished campaign into this "
                                    "results ledger (sqlite)")
-    campaign_run.add_argument("--sampling", metavar="SPEC",
-                              help="statistical vector sampling: 'adaptive' "
-                                   "or 'adaptive:confidence=...:epsilon=...'")
-    campaign_run.add_argument("--confidence", type=float, default=None,
-                              metavar="C",
-                              help="shortcut: arm adaptive sampling at this "
-                                   "confidence")
     campaign_run.add_argument("--fault-models", metavar="SPEC",
                               help="arm fault-model scenarios: comma-separated "
                                    "specs like 'resource,signal:offsets=1|64' "

@@ -92,10 +92,8 @@ class HealersPipeline:
         cache_dir: Optional[Path | str] = None,
         resume: bool = False,
         fault_models: object = (),
-        sampling: Optional[str] = None,
     ) -> None:
         from repro.faults.model import canonical_fault_specs
-        from repro.injector import canonical_sampling_spec
 
         if functions is None:
             self.specs: list[FunctionSpec] = list(BALLISTA_SET)
@@ -109,7 +107,6 @@ class HealersPipeline:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.resume = resume
         self.fault_models = canonical_fault_specs(fault_models)
-        self.sampling = canonical_sampling_spec(sampling)
 
     def run(self) -> HardenedLibrary:
         """Phase 1.  Serial and in-process by default; with ``jobs > 1``
@@ -131,7 +128,6 @@ class HealersPipeline:
                     max_vectors=self.max_vectors,
                     telemetry=telemetry,
                     fault_models=self.fault_models,
-                    sampling=self.sampling,
                 )
                 report = injector.run()
                 reports[spec.name] = report
@@ -174,7 +170,6 @@ class HealersPipeline:
             resume=self.resume,
             max_vectors=self.max_vectors,
             fault_models=self.fault_models,
-            sampling=self.sampling,
         )
         progress = self.progress
 
@@ -231,10 +226,9 @@ def harden(
     cache_dir: Optional[Path | str] = None,
     resume: bool = False,
     fault_models: object = (),
-    sampling: Optional[str] = None,
 ) -> HardenedLibrary:
     """One-call convenience wrapper around the pipeline."""
     return HealersPipeline(
         functions=functions, jobs=jobs, cache_dir=cache_dir, resume=resume,
-        fault_models=fault_models, sampling=sampling,
+        fault_models=fault_models,
     ).run()

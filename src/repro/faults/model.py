@@ -251,18 +251,24 @@ def faults_fingerprint(value: FaultModelsSpec) -> dict:
     }
 
 
+def stride_sample(pool: Sequence, cap: int) -> list:
+    """Deterministic stride sample of ``pool`` down to ``cap`` items:
+    evenly spaced draws in pool order."""
+    items = list(pool)
+    if cap <= 0 or len(items) <= cap:
+        return items
+    stride = len(items) // cap
+    return [items[index * stride] for index in range(cap)]
+
+
 def scenario_sample(pool: Sequence, cap: int = SCENARIO_VECTOR_CAP) -> list:
-    """Deterministic stride sample of ``pool`` down to ``cap`` items.
+    """The vectors that run under each scenario: a stride sample of
+    ``pool`` down to ``cap`` items.
 
     Shared by the injector and the benches so "which vectors run
-    under a scenario" has exactly one definition.  Delegates to the
-    one deterministic-draw primitive,
-    :func:`repro.injector.sampling.stride_sample` (deferred import:
-    ``repro.injector`` imports this module at load time); the draw is
-    unchanged, so faulted digests and scenario evidence are stable.
+    under a scenario" has exactly one definition; faulted digests and
+    scenario evidence depend on it staying stable.
     """
-    from repro.injector.sampling import stride_sample
-
     return stride_sample(pool, cap)
 
 

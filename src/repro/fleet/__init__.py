@@ -65,7 +65,6 @@ def build_shards(
     seed: int,
     max_vectors: int,
     fault_models: Sequence[str] = (),
-    sampling: Optional[str] = None,
 ) -> list[ShardSpec]:
     """Stripe the campaign's functions into up to ``workers`` shards
     (same round-robin striping as the legacy scheduler, so shard
@@ -80,7 +79,6 @@ def build_shards(
             functions=stripe,
             digests=[digests[name] for name in stripe],
             fault_models=fault_models,
-            sampling=sampling,
         )
         for index, stripe in enumerate(stripes)
     ]
@@ -102,7 +100,6 @@ def run_fleet(
     cache_dir=None,
     address: Optional[str] = None,
     fault_models: Sequence[str] = (),
-    sampling: Optional[str] = None,
 ) -> dict[str, TaskResult]:
     """Execute the named functions through the chosen fleet mode and
     return ``{name: TaskResult}`` (merge order is the caller's —
@@ -122,7 +119,6 @@ def run_fleet(
         telemetry=telemetry,
         on_result=on_result,
         fault_models=tuple(fault_models),
-        sampling=sampling,
     )
     if mode == "threads":
         from repro.fleet.threads import run_thread_fleet

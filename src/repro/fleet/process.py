@@ -121,7 +121,6 @@ def _process_worker_main(worker_id: int, task_q, conn) -> None:
                     name, digest, shard.seed, shard.max_vectors, attempt,
                     worker=f"proc-{worker_id}",
                     fault_models=shard.fault_models,
-                    sampling=shard.sampling,
                 )
                 completed += 1
                 send(("fn", worker_id, shard.shard_id, result.encode()))
@@ -169,7 +168,6 @@ def run_process_fleet(
     telemetry=NULL_TELEMETRY,
     on_result: Optional[Callable[[TaskResult], None]] = None,
     fault_models: Sequence[str] = (),
-    sampling: Optional[str] = None,
 ) -> dict[str, TaskResult]:
     """Execute every function through a supervised process fleet."""
     from repro.fleet import build_shards
@@ -183,7 +181,6 @@ def run_process_fleet(
     shards = build_shards(
         names, digests, workers, campaign=campaign, seed=seed,
         max_vectors=max_vectors, fault_models=fault_models,
-        sampling=sampling,
     )
     width = len(shards)
     shards_by_id: dict[str, ShardSpec] = {s.shard_id: s for s in shards}
@@ -240,7 +237,6 @@ def run_process_fleet(
             attempts=[a for _, a in retry],
             fingerprints=dict(template.fingerprints),
             fault_models=template.fault_models,
-            sampling=template.sampling,
         )
         submit(shard)
         telemetry.counter("fleet.reshard_count").inc()

@@ -73,7 +73,6 @@ def run_remote_fleet(
     cache_dir=None,
     address: Optional[str] = None,
     fault_models: Sequence[str] = (),
-    sampling: Optional[str] = None,
 ) -> dict[str, TaskResult]:
     """Run the campaign through a shard broker; see the module doc."""
     from repro.fleet import build_shards
@@ -121,7 +120,6 @@ def run_remote_fleet(
         shards = build_shards(
             names, digests, workers, campaign=campaign, seed=seed,
             max_vectors=max_vectors, fault_models=fault_models,
-            sampling=sampling,
         )
         submitted = client.fleet_submit(
             [s.encode() for s in shards], task_retries=task_retries

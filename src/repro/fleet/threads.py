@@ -44,7 +44,6 @@ def run_thread_fleet(
     telemetry=NULL_TELEMETRY,
     on_result: Optional[Callable[[TaskResult], None]] = None,
     fault_models: Sequence[str] = (),
-    sampling: Optional[str] = None,
 ) -> dict[str, TaskResult]:
     """Execute every function on a thread pool, one task per shard."""
     from repro.fleet import build_shards
@@ -55,7 +54,6 @@ def run_thread_fleet(
     shards = build_shards(
         names, digests, workers, campaign=campaign, seed=seed,
         max_vectors=max_vectors, fault_models=fault_models,
-        sampling=sampling,
     )
     results: dict[str, TaskResult] = {}
     lock = threading.Lock()
@@ -74,7 +72,6 @@ def run_thread_fleet(
                 result = execute_function(
                     name, digest, shard.seed, shard.max_vectors, attempt,
                     worker=worker, fault_models=shard.fault_models,
-                    sampling=shard.sampling,
                 )
                 if result.ok or attempt > task_retries:
                     finalize(task_result_from(result))

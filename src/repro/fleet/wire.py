@@ -1,4 +1,4 @@
-"""The fleet wire format, version 3.
+"""The fleet wire format, version 4.
 
 A campaign shard is the fleet's unit of work: an ordered slice of a
 campaign's function list plus everything a worker in *another process
@@ -22,10 +22,10 @@ experiment bit for bit:
   silently produce digests that lie.
 
 Version 2 added ``fault_models`` and the ``faults`` fingerprint.
-Version 3 added the ``sampling`` policy spec and the ``sampling``
-subsystem-version fingerprint.  A shard of any other version (or an
-old worker handed a newer shard) is refused outright rather than
-guessed at.
+Version 3 added a sampling policy and its fingerprint; version 4
+removed both again (injection is always exhaustive).  A shard of any
+other version (or an old worker handed a newer shard) is refused
+outright rather than guessed at.
 
 Shards serialize to plain JSON objects (:meth:`ShardSpec.encode` /
 :meth:`ShardSpec.decode`) so they travel both the ``multiprocessing``
@@ -48,13 +48,14 @@ from typing import Optional, Sequence
 
 from repro.campaign.digest import CACHE_SCHEMA
 from repro.faults.model import FAULTS_VERSION
-from repro.injector import MEMO_POLICY, PLAN_VERSION, SAMPLING_VERSION
+from repro.injector import MEMO_POLICY, PLAN_VERSION
 from repro.typelattice import LATTICE_VERSION
 
 #: Bump on any incompatible change to the shard/result encoding.
 #: v2: shards carry ``fault_models``; fingerprints carry ``faults``.
-#: v3: shards carry ``sampling``; fingerprints carry ``sampling``.
-WIRE_VERSION = 3
+#: v3: shards and fingerprints carried ``sampling``.
+#: v4: ``sampling`` removed from both.
+WIRE_VERSION = 4
 
 #: The fleet modes ``campaign run --fleet`` accepts.
 FLEET_MODES = ("threads", "processes", "remote")
@@ -83,7 +84,6 @@ def fleet_fingerprints() -> dict[str, object]:
         "plan": PLAN_VERSION,
         "memo": MEMO_POLICY,
         "faults": FAULTS_VERSION,
-        "sampling": SAMPLING_VERSION,
     }
 
 
@@ -112,8 +112,6 @@ class ShardSpec:
     fingerprints: tuple[tuple[str, object], ...]
     #: canonical fault-model spec strings armed for every function
     fault_models: tuple[str, ...] = ()
-    #: canonical sampling policy spec (None = exhaustive enumeration)
-    sampling: Optional[str] = None
 
     @classmethod
     def build(
@@ -127,7 +125,6 @@ class ShardSpec:
         attempts: Optional[Sequence[int]] = None,
         fingerprints: Optional[dict] = None,
         fault_models: Sequence[str] = (),
-        sampling: Optional[str] = None,
     ) -> "ShardSpec":
         functions = tuple(functions)
         digests = tuple(digests)
@@ -150,7 +147,6 @@ class ShardSpec:
             attempts=attempts,
             fingerprints=tuple(sorted(fp.items())),
             fault_models=tuple(str(m) for m in fault_models),
-            sampling=None if sampling is None else str(sampling),
         )
 
     # ------------------------------------------------------------------
@@ -167,7 +163,6 @@ class ShardSpec:
             "attempts": list(self.attempts),
             "fingerprints": dict(self.fingerprints),
             "fault_models": list(self.fault_models),
-            "sampling": self.sampling,
         }
 
     @classmethod
@@ -195,11 +190,6 @@ class ShardSpec:
                 attempts=attempts,
                 fingerprints=fingerprints,
                 fault_models=[str(m) for m in document.get("fault_models", [])],
-                sampling=(
-                    None
-                    if document.get("sampling") is None
-                    else str(document["sampling"])
-                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, WireError):

@@ -70,7 +70,6 @@ def execute_function(
     attempt: int = 1,
     worker: str = "",
     fault_models: tuple[str, ...] = (),
-    sampling: "Optional[str]" = None,
 ) -> FunctionResult:
     """Run one function's injector under the campaign's per-task seed
     and return its wire-encoded outcome (never raises)."""
@@ -82,8 +81,7 @@ def execute_function(
 
         reseed(seed, name)
         payload = _inject_payload(
-            name, max_vectors=max_vectors, fault_models=fault_models,
-            sampling=sampling,
+            name, max_vectors=max_vectors, fault_models=fault_models
         )
     except BaseException:
         return FunctionResult(
@@ -122,7 +120,7 @@ def execute_shard(
     ):
         result = execute_function(
             name, digest, shard.seed, shard.max_vectors, attempt, worker,
-            shard.fault_models, shard.sampling,
+            shard.fault_models,
         )
         results.append(result)
         if on_result is not None:

@@ -71,7 +71,7 @@ class AdaptiveArrayTemplate(TestCaseTemplate):
         )
         if self.size:
             region.poke(region.base, bytes([GARBAGE_BYTE]) * self.size)
-        region.prot = self.prot
+        runtime.space.protect(region, self.prot)
         self._last_base = region.base
         ranges = (
             (region.base, region.base + self.size + OWNERSHIP_SLACK),

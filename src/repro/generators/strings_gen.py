@@ -72,7 +72,7 @@ class StringTemplate(TestCaseTemplate):
             len(self.content) + 1, Protection.RW, RegionKind.TEST, label=self.label
         )
         region.poke(region.base, self.content + b"\x00")
-        region.prot = self.prot
+        runtime.space.protect(region, self.prot)
         ranges = ((region.base, region.base + region.size + OWNERSHIP_SLACK),)
         return Materialized(region.base, self.fundamental, ranges)
 

@@ -38,20 +38,6 @@ from repro.injector.plan import (
     plan_shape,
     shared_plan,
 )
-from repro.injector.sampling import (
-    SAMPLING_VERSION,
-    ArgumentSamplingEvidence,
-    SamplingEvidence,
-    SamplingPolicy,
-    SamplingSpecError,
-    VectorSampler,
-    achieved_confidence,
-    canonical_sampling_spec,
-    resolve_sampling,
-    sampling_fingerprint,
-    stable_draws_required,
-    stride_sample,
-)
 
 __all__ = [
     "BitFlipCampaign",
@@ -79,16 +65,4 @@ __all__ = [
     "compile_plan",
     "plan_shape",
     "shared_plan",
-    "SAMPLING_VERSION",
-    "ArgumentSamplingEvidence",
-    "SamplingEvidence",
-    "SamplingPolicy",
-    "SamplingSpecError",
-    "VectorSampler",
-    "achieved_confidence",
-    "canonical_sampling_spec",
-    "resolve_sampling",
-    "sampling_fingerprint",
-    "stable_draws_required",
-    "stride_sample",
 ]

@@ -58,12 +58,6 @@ from repro.injector.plan import (
     plan_shape,
     shared_plan,
 )
-from repro.injector.sampling import (
-    SamplingEvidence,
-    SamplingSpec,
-    VectorSampler,
-    resolve_sampling,
-)
 from repro.libc.runtime import LibcRuntime, standard_runtime
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sandbox import CallOutcome, CallStatus, Sandbox
@@ -119,9 +113,6 @@ class InjectionReport:
     #: evidence never feeds the baseline robust types or the
     #: ``unsafe`` attribute — it is a separate classification axis.
     fault_evidence: list[ScenarioEvidence] = field(default_factory=list)
-    #: sampled-vs-exhaustive provenance (repro.injector.sampling);
-    #: None unless the injector ran with a ``sampling`` policy.
-    sampling: Optional[SamplingEvidence] = None
 
     @property
     def safe(self) -> bool:
@@ -152,7 +143,6 @@ class FaultInjector:
         telemetry=NULL_TELEMETRY,
         plan: Optional[str] = "shared",
         fault_models: FaultModelsSpec = (),
-        sampling: SamplingSpec = None,
     ) -> None:
         if plan not in (None, "shared", "private"):
             raise ValueError(f"unknown plan mode: {plan!r}")
@@ -171,10 +161,6 @@ class FaultInjector:
         #: spec); empty = baseline HEALERS behaviour, bit-identical
         #: to a build without the faults subsystem.
         self.fault_models = resolve_fault_models(fault_models)
-        #: armed sampling policy (spec string or SamplingPolicy); None
-        #: = exhaustive enumeration, bit-identical to a build without
-        #: the sampling subsystem.
-        self.sampling = resolve_sampling(sampling)
         #: per-function telemetry scope: every metric/span recorded by
         #: this injector (and its sandbox) carries ``function=<name>``.
         self.telemetry = telemetry.scope(function=spec.name)
@@ -204,6 +190,10 @@ class FaultInjector:
         ]
         sandbox = Sandbox(telemetry=telemetry)
         base_runtime = self.runtime_factory()
+        observations: list[VectorObservation] = []
+        benign_vectors: list[tuple[TestCaseTemplate, ...]] = []
+        calls = retries = crashes = hangs = 0
+        errno_returns: list[tuple[object, int]] = []
         retry_counter = telemetry.counter("injector.retries")
 
         with telemetry.span("injector.function") as function_span:
@@ -220,172 +210,65 @@ class FaultInjector:
                 vectors = plan.bind(templates_per_arg)
                 ladder = SnapshotLadder(base_runtime)
                 memo = ChainMemo()
-            sampler = None
-            initial_states = None
-            if self.sampling is not None and vectors:
-                sample_plan = plan if plan is not None else compile_plan(
-                    plan_shape(templates_per_arg), self.max_vectors
-                )
-                sampler = VectorSampler(
-                    self.sampling,
-                    sample_plan,
-                    self.spec.name,
-                    stateful=[
-                        [t.state() is not None for t in templates]
-                        for templates in templates_per_arg
-                    ],
-                )
-                if not sampler.exhaustive:
-                    # Escalation insurance: adaptive templates must be
-                    # resettable to their pre-run state so an
-                    # exhaustive rerun reproduces the plan-order
-                    # evidence trajectory exactly.
-                    initial_states = [
-                        [t.state() for t in templates]
-                        for templates in templates_per_arg
-                    ]
-
-            def drive(schedule, driver, sandbox, base_runtime, ladder, memo):
-                observations: list[VectorObservation] = []
-                benign_vectors: list[tuple[TestCaseTemplate, ...]] = []
-                calls = retries = crashes = hangs = 0
-                returned_values: list[object] = []
-                errno_returns: list[tuple[object, int]] = []
-                for index, extend_to in schedule:
-                    vector = vectors[index]
-                    record = key = None
+            for index, vector in enumerate(vectors):
+                record = key = None
+                if memo is not None:
+                    key = memo.key(vector)
+                    record = memo.lookup(key)
+                if record is not None:
+                    # Outcome-equivalent duplicate: replay the recorded
+                    # run (including its adaptive state evolution); the
+                    # observations below are the recorded ones, so the
+                    # report stays bit-identical to the naive path.
+                    memo.replay(record, vector)
+                else:
+                    extend_to = plan.reuse[index] if plan is not None else 0
+                    if live:
+                        # Hot-loop span protocol: one attrs dict, no
+                        # context-manager machinery (see Tracer).
+                        started = clock()
+                        vector_id = open_span()
+                        record = self._execute_vector(
+                            sandbox, base_runtime, vector, ladder, extend_to, key
+                        )
+                        close_span(
+                            vector_id,
+                            "injector.vector",
+                            started,
+                            {
+                                "index": index,
+                                "status": record.status_name,
+                                "retries": record.retries,
+                            },
+                            span_context,
+                        )
+                    else:
+                        record = self._execute_vector(
+                            sandbox, base_runtime, vector, ladder, extend_to, key
+                        )
                     if memo is not None:
-                        key = memo.key(vector)
-                        record = memo.lookup(key)
-                    if record is not None:
-                        # Outcome-equivalent duplicate: replay the
-                        # recorded run (including its adaptive state
-                        # evolution); the observations below are the
-                        # recorded ones, so the report stays
-                        # bit-identical to the naive path.
-                        memo.replay(record, vector)
+                        memo.store(key, record)
+                calls += 1 + record.retries
+                retries += record.retries
+                retry_counter.inc(record.retries)
+                # Adjusted-away attempts are part of the generator's test
+                # case sequence ("a posteriori we know the sequence") and
+                # enter the robust type computation as crashes.
+                observations.extend(record.intermediate)
+                crashes += len(record.intermediate)
+                if record.observation.result is TestResult.FAILURE:
+                    if record.hung:
+                        hangs += 1
                     else:
-                        if live:
-                            # Hot-loop span protocol: one attrs dict, no
-                            # context-manager machinery (see Tracer).
-                            started = clock()
-                            vector_id = open_span()
-                            record = self._execute_vector(
-                                sandbox, base_runtime, vector, ladder, extend_to, key
-                            )
-                            close_span(
-                                vector_id,
-                                "injector.vector",
-                                started,
-                                {
-                                    "index": index,
-                                    "status": record.status_name,
-                                    "retries": record.retries,
-                                },
-                                span_context,
-                            )
-                        else:
-                            record = self._execute_vector(
-                                sandbox, base_runtime, vector, ladder, extend_to, key
-                            )
-                        if memo is not None:
-                            memo.store(key, record)
-                    calls += 1 + record.retries
-                    retries += record.retries
-                    retry_counter.inc(record.retries)
-                    # Adjusted-away attempts are part of the generator's
-                    # test case sequence ("a posteriori we know the
-                    # sequence") and enter the robust type computation
-                    # as crashes.
-                    observations.extend(record.intermediate)
-                    crashes += len(record.intermediate)
-                    if record.observation.result is TestResult.FAILURE:
-                        if record.hung:
-                            hangs += 1
-                        else:
-                            crashes += 1
-                    else:
-                        returned_values.append(record.return_value)
-                        if record.errno_was_set:
-                            errno_returns.append((record.return_value, record.errno))
-                        # Candidate pool for the scenario sweep: vectors
-                        # that completed without a robustness failure, so
-                        # a scenario crash is attributable to the fault.
-                        benign_vectors.append(vector)
-                    observations.append(record.observation)
-                    if driver is not None and driver.observe(
-                        index,
-                        record,
-                        lambda: [
-                            rt.robust.render()
-                            for rt in self._compute_robust_types(observations)
-                        ],
-                    ):
-                        break
-                return (
-                    observations,
-                    benign_vectors,
-                    calls,
-                    retries,
-                    crashes,
-                    hangs,
-                    returned_values,
-                    errno_returns,
-                )
-
-            if sampler is None:
-                reuse = None if plan is None else plan.reuse
-                schedule = (
-                    (i, 0 if reuse is None else reuse[i])
-                    for i in range(len(vectors))
-                )
-            else:
-                schedule = sampler.schedule()
-            (
-                observations,
-                benign_vectors,
-                calls,
-                retries,
-                crashes,
-                hangs,
-                returned_values,
-                errno_returns,
-            ) = drive(schedule, sampler, sandbox, base_runtime, ladder, memo)
-
-            escalation_draws = 0
-            if sampler is not None and sampler.escalated:
-                # A stateful pair flipped post-sweep on an uncapped
-                # plan: discard the sampled pass and rerun the plan
-                # order exhaustively from restored template state so
-                # the verdict is the exhaustive one by construction.
-                # The spent draws stay on the bill (vectors_run,
-                # calls_made); only the evidence is replaced.
-                escalation_draws = sampler.executed
-                for templates, states in zip(templates_per_arg, initial_states):
-                    for template, state in zip(templates, states):
-                        template.restore(state)
-                sandbox = Sandbox(telemetry=telemetry)
-                base_runtime = self.runtime_factory()
-                if plan is not None:
-                    ladder = SnapshotLadder(base_runtime)
-                    memo = ChainMemo()
-                reuse = None if plan is None else plan.reuse
-                schedule = (
-                    (i, 0 if reuse is None else reuse[i])
-                    for i in range(len(vectors))
-                )
-                (
-                    observations,
-                    benign_vectors,
-                    rerun_calls,
-                    rerun_retries,
-                    crashes,
-                    hangs,
-                    returned_values,
-                    errno_returns,
-                ) = drive(schedule, None, sandbox, base_runtime, ladder, memo)
-                calls += rerun_calls
-                retries += rerun_retries
+                        crashes += 1
+                else:
+                    if record.errno_was_set:
+                        errno_returns.append((record.return_value, record.errno))
+                    # Candidate pool for the scenario sweep: vectors
+                    # that completed without a robustness failure, so
+                    # a scenario crash is attributable to the fault.
+                    benign_vectors.append(vector)
+                observations.append(record.observation)
 
             fault_evidence = self._run_fault_scenarios(
                 sandbox, base_runtime, vectors, benign_vectors
@@ -393,25 +276,8 @@ class FaultInjector:
             errno_class = self._classify_errno(errno_returns)
             unsafe = crashes + hangs > 0
             robust_types = self._compute_robust_types(observations)
-            if sampler is None:
-                vectors_run = len(vectors)
-                sampling_evidence = None
-            elif sampler.escalated:
-                vectors_run = escalation_draws + len(vectors)
-                sampling_evidence = SamplingEvidence(
-                    mode="escalated",
-                    policy=self.sampling.spec(),
-                    vectors_total=len(vectors),
-                    vectors_run=vectors_run,
-                    vectors_skipped=0,
-                    confidence=self.sampling.confidence,
-                    arguments=(),
-                )
-            else:
-                vectors_run = sampler.executed
-                sampling_evidence = sampler.evidence()
             function_span.set(
-                vectors=vectors_run,
+                vectors=len(vectors),
                 calls=calls,
                 retries=retries,
                 crashes=crashes,
@@ -425,11 +291,6 @@ class FaultInjector:
                     snapshot_hits=ladder.hits,
                     snapshot_rebuilds=ladder.rebuilds,
                 )
-            if sampling_evidence is not None:
-                function_span.set(
-                    sampling_mode=sampling_evidence.mode,
-                    vectors_skipped=sampling_evidence.vectors_skipped,
-                )
         telemetry.counter("injector.functions").inc()
         telemetry.counter(
             "injector.verdicts", verdict="unsafe" if unsafe else "safe"
@@ -440,14 +301,13 @@ class FaultInjector:
             robust_types=robust_types,
             errno_class=errno_class,
             unsafe=unsafe,
-            vectors_run=vectors_run,
+            vectors_run=len(vectors),
             calls_made=calls,
             retries=retries,
             crashes=crashes,
             hangs=hangs,
             observations=observations,
             fault_evidence=fault_evidence,
-            sampling=sampling_evidence,
         )
 
     # ------------------------------------------------------------------
@@ -696,7 +556,6 @@ def inject_function(
     telemetry=NULL_TELEMETRY,
     plan: Optional[str] = "shared",
     fault_models: FaultModelsSpec = (),
-    sampling: SamplingSpec = None,
 ) -> InjectionReport:
     """Convenience: build and run the injector for a catalog function."""
     from repro.libc.catalog import BY_NAME
@@ -709,6 +568,5 @@ def inject_function(
         telemetry=telemetry,
         plan=plan,
         fault_models=fault_models,
-        sampling=sampling,
     )
     return injector.run()

@@ -441,10 +441,8 @@ class Ledger:
         fleet_mode = str(getattr(result, "fleet_mode", "serial"))
         workers = int(getattr(result, "workers", 1))
         fault_models = tuple(getattr(result, "fault_models", ()))
-        sampling = getattr(result, "sampling", None)
-        # Armed fault models and sampling policies join the key only
-        # when present so every pre-existing (unfaulted, exhaustive)
-        # run keeps its dedup identity.
+        # Armed fault models join the key only when present so every
+        # pre-existing (unfaulted) run keeps its dedup identity.
         key_parts = [
             "campaign",
             result.campaign,
@@ -454,8 +452,6 @@ class Ledger:
         ]
         if fault_models:
             key_parts.append(list(fault_models))
-        if sampling:
-            key_parts.append(str(sampling))
         key = _content_key(*key_parts)
         extra = {
             "campaign": result.campaign,
@@ -473,8 +469,6 @@ class Ledger:
                 k: round(v, 6) for k, v in result.phase_timings.items()
             },
         }
-        if sampling:
-            extra["sampling"] = str(sampling)
         if fault_models:
             extra["fault_models"] = list(fault_models)
             extra["scenario_unsafe"] = {
@@ -523,10 +517,6 @@ class Ledger:
             # the armed model set): scenario sweeps run extra calls,
             # so their counts must never gate against unfaulted runs.
             series = f"campaign.{fnset}"
-            if sampling:
-                # Sampled campaigns run fewer calls by design, so their
-                # totals gate in a separate series from exhaustive runs.
-                series += f".sampled-{_content_key(str(sampling))[:8]}"
             if fault_models:
                 series += f".faults-{_content_key(list(fault_models))[:8]}"
                 evidence = [

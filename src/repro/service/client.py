@@ -178,7 +178,6 @@ class ServiceClient:
         policy: str = "robust",
         execute: bool = False,
         fault_models: Optional[list[str]] = None,
-        sampling: Optional[str] = None,
         **kw,
     ) -> dict:
         """Batch-validate ``[{"function", "args"}, ...]`` in one
@@ -191,8 +190,6 @@ class ServiceClient:
         }
         if fault_models is not None:
             params["fault_models"] = list(fault_models)
-        if sampling is not None:
-            params["sampling"] = sampling
         return self.call("validate", params, **kw)
 
     def status(self, **kw) -> dict:

@@ -48,14 +48,13 @@ def _run_injection(
     telemetry=NULL_TELEMETRY,
     max_vectors: int = MAX_VECTORS,
     fault_models: tuple[str, ...] = (),
-    sampling: Optional[str] = None,
 ) -> dict:
     """Run one function's injector in the calling (worker) thread and
     return the JSON-stable outcome payload."""
     spec = BY_NAME[name]
     report = FaultInjector(
         spec, max_vectors=max_vectors, telemetry=telemetry,
-        fault_models=fault_models, sampling=sampling,
+        fault_models=fault_models,
     ).run()
     return report_to_payload(report, spec.prototype)
 
@@ -106,30 +105,21 @@ class ServiceState:
         )
         self.started = time.monotonic()
         self.shutting_down = False
-        self._digests: dict[
-            tuple[str, tuple[str, ...], Optional[str]], str
-        ] = {}
+        self._digests: dict[tuple[str, tuple[str, ...]], str] = {}
         # The fleet's shard broker: remote workers lease campaign
         # shards from here (see repro.fleet.broker).
         self.broker = ShardBroker(telemetry=self.telemetry, lease_ttl=lease_ttl)
 
     # ------------------------------------------------------------------
-    def digest_for(
-        self,
-        name: str,
-        fault_models: tuple[str, ...] = (),
-        sampling: Optional[str] = None,
-    ) -> str:
+    def digest_for(self, name: str, fault_models: tuple[str, ...] = ()) -> str:
         """The content address of ``name``'s outcome (memoized: specs,
         generators, and lattice version are fixed for a process; the
-        armed fault-model set and sampling policy key the memo
-        alongside the name)."""
-        key = (name, fault_models, sampling)
+        armed fault-model set keys the memo alongside the name)."""
+        key = (name, fault_models)
         digest = self._digests.get(key)
         if digest is None:
             digest = outcome_digest(
-                BY_NAME[name], parser=self.parser,
-                fault_models=fault_models, sampling=sampling,
+                BY_NAME[name], parser=self.parser, fault_models=fault_models
             )
             self._digests[key] = digest
         return digest
@@ -144,15 +134,12 @@ class ServiceState:
 
     # ------------------------------------------------------------------
     async def report_payload(
-        self,
-        name: str,
-        fault_models: tuple[str, ...] = (),
-        sampling: Optional[str] = None,
+        self, name: str, fault_models: tuple[str, ...] = ()
     ) -> tuple[dict, str]:
         """One function's outcome payload plus how it was obtained
         (``"cache"`` or ``"injected"``)."""
         self.spec_for(name)
-        digest = self.digest_for(name, fault_models, sampling)
+        digest = self.digest_for(name, fault_models)
         if self.store is not None:
             payload = self.store.get_payload(digest)
             if payload is not None:
@@ -166,7 +153,7 @@ class ServiceState:
                 self.executor,
                 functools.partial(
                     _run_injection, name, self.telemetry, self.max_vectors,
-                    fault_models, sampling,
+                    fault_models,
                 ),
             )
             if self.store is not None:
@@ -177,12 +164,9 @@ class ServiceState:
         return payload, "injected"
 
     async def report_for(
-        self,
-        name: str,
-        fault_models: tuple[str, ...] = (),
-        sampling: Optional[str] = None,
+        self, name: str, fault_models: tuple[str, ...] = ()
     ) -> tuple[InjectionReport, str]:
-        payload, source = await self.report_payload(name, fault_models, sampling)
+        payload, source = await self.report_payload(name, fault_models)
         return report_from_payload(payload, self.parser), source
 
     # ------------------------------------------------------------------
@@ -248,23 +232,16 @@ def _fault_models_param(params: dict) -> tuple[str, ...]:
         raise ServiceError(ErrorCode.INVALID_PARAMS, str(message)) from exc
 
 
-def _sampling_param(params: dict) -> Optional[str]:
-    """Canonical sampling spec string from ``params.sampling`` (a spec
-    string like ``adaptive:confidence=0.99``; absent → exhaustive)."""
-    raw = params.get("sampling")
-    if raw is None:
-        return None
-    if not isinstance(raw, str):
+def _reject_sampling(params: dict) -> None:
+    """Injection is always exhaustive.  Statistical sampling was removed
+    (docs/performance.md), so a request that still asks for it is
+    malformed: serving it an exhaustive report instead would answer a
+    question the client did not ask."""
+    if "sampling" in params:
         raise ServiceError(
             ErrorCode.INVALID_PARAMS,
-            "params.sampling must be a sampling spec string",
+            "params.sampling is not supported: injection is exhaustive",
         )
-    from repro.injector import SamplingSpecError, canonical_sampling_spec
-
-    try:
-        return canonical_sampling_spec(raw)
-    except SamplingSpecError as exc:
-        raise ServiceError(ErrorCode.INVALID_PARAMS, str(exc)) from exc
 
 
 def _report_row(name: str, report: InjectionReport, source: str, digest: str) -> dict:
@@ -283,14 +260,6 @@ def _report_row(name: str, report: InjectionReport, source: str, digest: str) ->
     }
     if report.fault_evidence:
         row["unsafe_scenarios"] = list(report.unsafe_scenarios)
-    if report.sampling is not None:
-        row["sampling"] = {
-            "mode": report.sampling.mode,
-            "policy": report.sampling.policy,
-            "vectors_total": report.sampling.vectors_total,
-            "vectors_run": report.sampling.vectors_run,
-            "vectors_skipped": report.sampling.vectors_skipped,
-        }
     return row
 
 
@@ -323,10 +292,10 @@ async def handle_inject(state: ServiceState, params: dict) -> dict:
     """One function's full injection-campaign summary."""
     name = _function_param(params)
     fault_models = _fault_models_param(params)
-    sampling = _sampling_param(params)
-    report, source = await state.report_for(name, fault_models, sampling)
+    _reject_sampling(params)
+    report, source = await state.report_for(name, fault_models)
     return _report_row(
-        name, report, source, state.digest_for(name, fault_models, sampling)
+        name, report, source, state.digest_for(name, fault_models)
     )
 
 
@@ -336,13 +305,12 @@ async def handle_harden(state: ServiceState, params: dict) -> dict:
     from repro.declarations import apply_all_manual_edits, declaration_from_report
 
     names = _functions_param(params, required=False)
-    sampling = _sampling_param(params)
+    _reject_sampling(params)
     if names is None:
         names = [spec.name for spec in BALLISTA_SET]
     specs = [state.spec_for(n) for n in names]
     results = await asyncio.gather(
-        *(state.report_for(spec.name, sampling=sampling) for spec in specs),
-        return_exceptions=True
+        *(state.report_for(spec.name) for spec in specs), return_exceptions=True
     )
     declarations: dict[str, object] = {}
     sources: dict[str, str] = {}
@@ -386,10 +354,10 @@ async def handle_ballista(state: ServiceState, params: dict) -> dict:
             ErrorCode.INVALID_PARAMS,
             f"params.configurations must be a subset of {sorted(known)}",
         )
-    sampling = _sampling_param(params)
+    _reject_sampling(params)
     reports = {}
     for spec in specs:
-        report, _ = await state.report_for(spec.name, sampling=sampling)
+        report, _ = await state.report_for(spec.name)
         reports[spec.name] = report
 
     def evaluate() -> dict:
@@ -506,14 +474,14 @@ async def handle_validate(state: ServiceState, params: dict) -> dict:
 
     calls = _calls_param(params)
     fault_models = _fault_models_param(params)
-    sampling = _sampling_param(params)
+    _reject_sampling(params)
     execute = bool(params.get("execute"))
     policy_name = params.get("policy", "robust")
     names = sorted({name for name, _ in calls})
     specs = {name: state.spec_for(name) for name in names}
     reports = {}
     for name in names:
-        report, _ = await state.report_for(name, fault_models, sampling)
+        report, _ = await state.report_for(name, fault_models)
         reports[name] = report
 
     def run() -> dict:

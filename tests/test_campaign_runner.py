@@ -98,15 +98,10 @@ class TestCampaignRunner:
     def test_failed_function_does_not_abort_campaign(self, monkeypatch):
         real = runner_mod._inject_payload
 
-        def flaky(name, max_vectors=1200, fault_models=(), sampling=None):
+        def flaky(name, max_vectors=1200, fault_models=()):
             if name == "labs":
                 raise RuntimeError("injector exploded")
-            return real(
-                name,
-                max_vectors=max_vectors,
-                fault_models=fault_models,
-                sampling=sampling,
-            )
+            return real(name, max_vectors=max_vectors, fault_models=fault_models)
 
         monkeypatch.setattr(runner_mod, "_inject_payload", flaky)
         result = CampaignRunner(
@@ -174,15 +169,10 @@ class TestPipelineCampaign:
     def test_campaign_pipeline_reports_failures(self, monkeypatch):
         real = runner_mod._inject_payload
 
-        def flaky(name, max_vectors=1200, fault_models=(), sampling=None):
+        def flaky(name, max_vectors=1200, fault_models=()):
             if name == "labs":
                 raise RuntimeError("injector exploded")
-            return real(
-                name,
-                max_vectors=max_vectors,
-                fault_models=fault_models,
-                sampling=sampling,
-            )
+            return real(name, max_vectors=max_vectors, fault_models=fault_models)
 
         monkeypatch.setattr(runner_mod, "_inject_payload", flaky)
         hardened = HealersPipeline(

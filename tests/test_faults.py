@@ -23,6 +23,7 @@ from repro.faults.model import (
     format_parameter_index,
     function_pointer_indices,
     scenario_sample,
+    stride_sample,
 )
 from repro.injector import FaultInjector
 from repro.libc.catalog import BY_NAME
@@ -144,6 +145,12 @@ class TestScenarios:
         for scenario in model.scenarios(BY_NAME["fopen"], prototype_of("fopen")):
             assert scenario.key == f"resource:{scenario.label}"
 
+    def test_stride_sample_matches_historical_semantics(self):
+        pool = list(range(100))
+        assert stride_sample(pool, 24) == [i * 4 for i in range(24)]
+        assert stride_sample(pool, 200) == pool
+        assert stride_sample([], 5) == []
+
     def test_scenario_sample_is_a_deterministic_stride(self):
         pool = list(range(100))
         sample = scenario_sample(pool, cap=10)
@@ -151,6 +158,9 @@ class TestScenarios:
         assert len(sample) == 10
         assert sample == sorted(sample)
         assert scenario_sample([1, 2, 3], cap=10) == [1, 2, 3]
+        # The default cap is the one faulted digests fingerprint.
+        odd = list(range(97))
+        assert scenario_sample(odd) == stride_sample(odd, SCENARIO_VECTOR_CAP)
 
     def test_prototype_introspection_helpers(self):
         assert function_pointer_indices(prototype_of("qsort")) == (3,)

@@ -96,12 +96,11 @@ class TestWorkerDeath:
 class TestDeadlinesAndRetries:
     def test_hung_function_hits_deadline(self, monkeypatch):
         def fake_execute(name, digest, seed, max_vectors, attempt=1, worker="",
-                         fault_models=(), sampling=None):
+                         fault_models=()):
             if name == "abs":
                 time.sleep(60.0)
             return execute_function(
-                name, digest, seed, max_vectors, attempt, worker, fault_models,
-                sampling,
+                name, digest, seed, max_vectors, attempt, worker, fault_models
             )
 
         monkeypatch.setattr(
@@ -117,15 +116,14 @@ class TestDeadlinesAndRetries:
 
     def test_transient_failure_retries_on_fresh_worker(self, monkeypatch):
         def fake_execute(name, digest, seed, max_vectors, attempt=1, worker="",
-                         fault_models=(), sampling=None):
+                         fault_models=()):
             if name == "abs" and attempt == 1:
                 return FunctionResult(
                     function=name, digest=digest, status="failed",
                     attempt=attempt, elapsed=0.0, error="transient",
                 )
             return execute_function(
-                name, digest, seed, max_vectors, attempt, worker, fault_models,
-                sampling,
+                name, digest, seed, max_vectors, attempt, worker, fault_models
             )
 
         monkeypatch.setattr(
@@ -137,15 +135,14 @@ class TestDeadlinesAndRetries:
 
     def test_exhausted_retries_fail_terminally(self, monkeypatch):
         def fake_execute(name, digest, seed, max_vectors, attempt=1, worker="",
-                         fault_models=(), sampling=None):
+                         fault_models=()):
             if name == "abs":
                 return FunctionResult(
                     function=name, digest=digest, status="failed",
                     attempt=attempt, elapsed=0.0, error="always broken",
                 )
             return execute_function(
-                name, digest, seed, max_vectors, attempt, worker, fault_models,
-                sampling,
+                name, digest, seed, max_vectors, attempt, worker, fault_models
             )
 
         monkeypatch.setattr(

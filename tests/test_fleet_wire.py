@@ -81,10 +81,17 @@ class TestShardValidation:
             ShardSpec.decode("not a shard")
 
     def test_wrong_wire_version_refused(self):
-        doc = make_shard().encode()
-        doc["wire"] = WIRE_VERSION + 1
-        with pytest.raises(WireError, match="wire version"):
-            ShardSpec.decode(doc)
+        newer = make_shard().encode()
+        newer["wire"] = WIRE_VERSION + 1
+        # A v3 shard carried a sampling policy and its fingerprint; v4
+        # workers run exhaustively and must not guess at its meaning.
+        v3 = make_shard().encode()
+        v3["wire"] = 3
+        v3["sampling"] = "adaptive:confidence=0.99"
+        v3["fingerprints"] = dict(v3["fingerprints"], sampling=1)
+        for doc in (newer, v3):
+            with pytest.raises(WireError, match="wire version"):
+                ShardSpec.decode(doc)
 
     @pytest.mark.parametrize(
         "missing", ["shard_id", "campaign", "functions", "digests", "seed"]

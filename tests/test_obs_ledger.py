@@ -81,6 +81,22 @@ class TestFlattenMetrics:
         assert functions_key(["a"]) != functions_key(["a", "b"])
 
 
+class TestFlattenMetricsHonesty:
+    def test_baseline_only_rows_never_become_series(self):
+        payload = {
+            "modes": [
+                {"fleet_mode": "serial", "seconds": 2.0, "speedup": 1.0},
+                {"fleet_mode": "threads", "seconds": 1.5, "speedup": 1.3,
+                 "baseline_only": True},
+            ],
+            "functions": 20,
+        }
+        flat = flatten_metrics(payload)
+        assert "modes.serial.seconds" in flat
+        assert not any(k.startswith("modes.threads") for k in flat)
+        assert flat["functions"] == 20.0
+
+
 class TestBenchIngestion:
     def test_ingest_query_round_trip(self, tmp_path):
         ledger = Ledger(tmp_path / "ledger.sqlite", clock=fake_clock())
@@ -170,6 +186,40 @@ class TestCampaignIngestion:
         config = CampaignConfig(cache_dir=tmp_path / "cache", ledger=db)
         result = CampaignRunner(["abs"], config=config).run()
         assert "abs" in result.reports  # the campaign itself succeeded
+
+
+    def test_legacy_sampled_series_stay_readable(self, tmp_path, capsys):
+        # Ledgers written while adaptive sampling existed hold campaign
+        # runs tagged with a sampling spec and totals series suffixed
+        # ``.sampled-<key>``.  Listing, showing, gating and rendering
+        # such a ledger must keep working.
+        from repro.campaign import CampaignConfig, CampaignRunner
+
+        db = tmp_path / "ledger.sqlite"
+        ledger = Ledger(db, clock=fake_clock())
+        ledger.ingest_campaign(CampaignRunner(["abs"], CampaignConfig()).run())
+        with sqlite3.connect(db) as conn:
+            run_id, extra = conn.execute("SELECT id, extra FROM runs").fetchone()
+            conn.execute(
+                "UPDATE runs SET extra = ?, key = key || '-sampled' WHERE id = ?",
+                (json.dumps(dict(json.loads(extra), sampling="adaptive")), run_id),
+            )
+            conn.execute(
+                "UPDATE bench_metrics SET bench = bench || '.sampled-0123abcd'"
+                " WHERE run_id = ? AND metric LIKE '%_total'",
+                (run_id,),
+            )
+        ledger.ingest_campaign(CampaignRunner(["abs"], CampaignConfig()).run())
+        series = {bench for bench, _ in Ledger(db).bench_series()}
+        assert any(".sampled-" in s for s in series)
+        assert any(".sampled-" not in s for s in series)
+        assert main(["ledger", "--db", str(db), "list"]) == 0
+        assert main(["ledger", "--db", str(db), "show", str(run_id)]) == 0
+        assert main(["regressions", "--db", str(db)]) == 0
+        html = tmp_path / "dashboard.html"
+        assert main(["report", "--html", str(html), "--db", str(db)]) == 0
+        assert html.read_text().startswith("<!DOCTYPE html>")
+        capsys.readouterr()
 
 
 class TestServiceIngestion:

@@ -175,6 +175,17 @@ class TestTypedErrors:
         with pytest.raises(ServiceError) as err:
             client.call("ballista", {"functions": []})
         assert err.value.code == ErrorCode.INVALID_PARAMS
+        # Injection is exhaustive: a request still asking for sampling
+        # is refused, never served an exhaustive report in its place.
+        for op, params in (
+            ("inject", {"function": "abs"}),
+            ("harden", {"functions": ["abs"]}),
+            ("ballista", {"functions": ["abs"]}),
+            ("validate", {"calls": [{"function": "abs", "args": [1]}]}),
+        ):
+            with pytest.raises(ServiceError) as err:
+                client.call(op, dict(params, sampling="adaptive"))
+            assert err.value.code == ErrorCode.INVALID_PARAMS, op
 
     def test_bad_version_and_garbage_lines(self, service):
         host, port = service.address
@@ -225,11 +236,10 @@ class TestSingleFlight:
         real = handlers_mod._run_injection
         runs = []
 
-        def counting(name, telemetry=None, max_vectors=1200, fault_models=(),
-                 sampling=None):
+        def counting(name, telemetry=None, max_vectors=1200, fault_models=()):
             runs.append(name)
             time.sleep(0.2)  # hold the flight open for the waiters
-            return real(name, telemetry, max_vectors, fault_models, sampling)
+            return real(name, telemetry, max_vectors, fault_models)
 
         monkeypatch.setattr(handlers_mod, "_run_injection", counting)
         handle = serve_in_thread(
