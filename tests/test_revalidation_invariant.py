@@ -23,14 +23,8 @@ from repro.wrapper.program import ProgramContext
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-POOLS = (
-    pools.STRING_POOL,
-    pools.WRITABLE_STRING_POOL,
-    pools.POINTER_POOL,
-    pools.FILE_POOL,
-    pools.DIR_POOL,
-    pools.FD_POOL,
-)
+#: Every Ballista value pool, including ones added later.
+POOLS = [pool for name, pool in vars(pools).items() if name.endswith("_POOL")]
 
 
 def _builders():
