@@ -158,9 +158,11 @@ class TestScenarios:
         assert len(sample) == 10
         assert sample == sorted(sample)
         assert scenario_sample([1, 2, 3], cap=10) == [1, 2, 3]
+
+    def test_scenario_sample_delegates_identically(self):
         # The default cap is the one faulted digests fingerprint.
-        odd = list(range(97))
-        assert scenario_sample(odd) == stride_sample(odd, SCENARIO_VECTOR_CAP)
+        pool = list(range(97))
+        assert scenario_sample(pool) == stride_sample(pool, SCENARIO_VECTOR_CAP)
 
     def test_prototype_introspection_helpers(self):
         assert function_pointer_indices(prototype_of("qsort")) == (3,)
