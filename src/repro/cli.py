@@ -576,13 +576,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(f"{args.op} takes exactly one function", file=sys.stderr)
             return 2
         params["function"] = args.functions[0]
-        if args.semi_auto:
-            params["semi_auto"] = True
     elif args.op in ("harden", "ballista"):
         if args.functions:
             params["functions"] = args.functions
-        if args.semi_auto:
-            params["semi_auto"] = True
     elif args.op == "validate":
         if not args.calls:
             print("validate requires --calls JSON", file=sys.stderr)
@@ -596,11 +592,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
         params["policy"] = args.policy
         if args.execute:
             params["execute"] = True
-        if args.semi_auto:
-            params["semi_auto"] = True
     elif args.functions:
         print(f"{args.op} takes no functions", file=sys.stderr)
         return 2
+    if args.semi_auto:
+        if args.op not in ("declaration", "harden", "validate"):
+            print(f"--semi-auto does not apply to {args.op}", file=sys.stderr)
+            return 2
+        params["semi_auto"] = True
     try:
         with ServiceClient(
             args.host, args.port, retries=args.retries
@@ -1002,7 +1001,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "harden/ballista take a list)")
     query.add_argument("--host", default="127.0.0.1")
     query.add_argument("--port", type=int, default=7411)
-    query.add_argument("--semi-auto", action="store_true")
+    query.add_argument("--semi-auto", action="store_true",
+                       help="declaration/harden/validate: the semi-auto "
+                            "(manually edited) declarations")
     query.add_argument("--deadline-ms", type=float, default=None,
                        help="per-request deadline forwarded to the server")
     query.add_argument("--retries", type=int, default=0,

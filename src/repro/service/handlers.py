@@ -232,15 +232,26 @@ def _fault_models_param(params: dict) -> tuple[str, ...]:
         raise ServiceError(ErrorCode.INVALID_PARAMS, str(message)) from exc
 
 
-def _reject_sampling(params: dict) -> None:
-    """Injection is always exhaustive.  Statistical sampling was removed
-    (docs/performance.md), so a request that still asks for it is
-    malformed: serving it an exhaustive report instead would answer a
-    question the client did not ask."""
-    if "sampling" in params:
+#: The param keys each work op reads.  Any other key is refused: a
+#: misspelled ``fault_models`` served an unfaulted report, and a
+#: ``sampling`` request (injection is exhaustive; docs/performance.md)
+#: answered a question the client did not ask.
+PARAM_KEYS = {
+    "declaration": frozenset({"function", "semi_auto"}),
+    "inject": frozenset({"function", "fault_models"}),
+    "harden": frozenset({"functions", "semi_auto", "include_source"}),
+    "ballista": frozenset({"functions", "configurations"}),
+    "validate": frozenset({"calls", "fault_models", "execute", "policy", "semi_auto"}),
+}
+
+
+def _check_param_keys(op: str, params: dict) -> None:
+    unknown = sorted(set(params) - PARAM_KEYS[op])
+    if unknown:
         raise ServiceError(
             ErrorCode.INVALID_PARAMS,
-            "params.sampling is not supported: injection is exhaustive",
+            f"{op} does not take params.{', params.'.join(unknown)} "
+            f"(it takes {', '.join(sorted(PARAM_KEYS[op]))})",
         )
 
 
@@ -272,6 +283,7 @@ async def handle_declaration(state: ServiceState, params: dict) -> dict:
     """One function's declaration (Figure-2 XML), hardening on demand."""
     from repro.declarations import apply_manual_edits, declaration_from_report
 
+    _check_param_keys("declaration", params)
     name = _function_param(params)
     spec = state.spec_for(name)
     report, source = await state.report_for(name)
@@ -290,9 +302,9 @@ async def handle_declaration(state: ServiceState, params: dict) -> dict:
 
 async def handle_inject(state: ServiceState, params: dict) -> dict:
     """One function's full injection-campaign summary."""
+    _check_param_keys("inject", params)
     name = _function_param(params)
     fault_models = _fault_models_param(params)
-    _reject_sampling(params)
     report, source = await state.report_for(name, fault_models)
     return _report_row(
         name, report, source, state.digest_for(name, fault_models)
@@ -304,8 +316,8 @@ async def handle_harden(state: ServiceState, params: dict) -> dict:
     generated C wrapper source."""
     from repro.declarations import apply_all_manual_edits, declaration_from_report
 
+    _check_param_keys("harden", params)
     names = _functions_param(params, required=False)
-    _reject_sampling(params)
     if names is None:
         names = [spec.name for spec in BALLISTA_SET]
     specs = [state.spec_for(n) for n in names]
@@ -343,6 +355,7 @@ async def handle_harden(state: ServiceState, params: dict) -> dict:
 
 async def handle_ballista(state: ServiceState, params: dict) -> dict:
     """A Figure-6 robustness evaluation over the named functions."""
+    _check_param_keys("ballista", params)
     names = _functions_param(params, required=True)
     specs = [state.spec_for(n) for n in names]
     configurations = params.get("configurations") or [
@@ -354,7 +367,6 @@ async def handle_ballista(state: ServiceState, params: dict) -> dict:
             ErrorCode.INVALID_PARAMS,
             f"params.configurations must be a subset of {sorted(known)}",
         )
-    _reject_sampling(params)
     reports = {}
     for spec in specs:
         report, _ = await state.report_for(spec.name)
@@ -472,9 +484,9 @@ async def handle_validate(state: ServiceState, params: dict) -> dict:
     """
     from repro.declarations import apply_all_manual_edits, declaration_from_report
 
+    _check_param_keys("validate", params)
     calls = _calls_param(params)
     fault_models = _fault_models_param(params)
-    _reject_sampling(params)
     execute = bool(params.get("execute"))
     policy_name = params.get("policy", "robust")
     names = sorted({name for name, _ in calls})

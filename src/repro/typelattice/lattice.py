@@ -6,19 +6,21 @@ injection) and provides the subtype relation as the reflexive-transitive
 closure of the direct rules — the concrete form of the paper's
 ``(T, <=)``.
 
-The closure is computed once over the instance DAG (networkx), so all
-robust-type queries are dictionary lookups.
+The closure is computed once, as one int bitmask of strict supertypes
+per instance index (bit ``j`` of ``mask[i]`` set iff instance ``j`` is
+reachable from instance ``i`` along direct-rule edges), so a subtype
+query is one bit test and the robust-type search can intersect whole
+supertype sets with ``&``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-import networkx as nx
+from collections import defaultdict
+from typing import Iterable, Iterator
 
 from repro.typelattice import registry
 from repro.typelattice.instances import TypeInstance
-from repro.typelattice.rules import DIRECT_RULES, is_direct_subtype
+from repro.typelattice.rules import DIRECT_RULES
 
 #: Templates that take a size parameter.
 PARAMETERIZED_TEMPLATES = {
@@ -128,17 +130,13 @@ class Lattice:
 
     def __init__(self, instances: Iterable[TypeInstance]) -> None:
         self.instances: list[TypeInstance] = list(dict.fromkeys(instances))
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.instances)
-        for sub in self.instances:
-            for sup in self.instances:
-                if sub != sup and is_direct_subtype(sub, sup):
-                    graph.add_edge(sub, sup)
-        self.graph = graph
-        # descendants in the edge direction sub -> sup are supertypes.
-        self._supertypes: dict[TypeInstance, frozenset[TypeInstance]] = {
-            node: frozenset(nx.descendants(graph, node)) for node in graph
+        self._index: dict[TypeInstance, int] = {
+            t: i for i, t in enumerate(self.instances)
         }
+        #: Every instance's bit set: the top of the mask order.
+        self.full_mask = (1 << len(self.instances)) - 1
+        #: ``_strict_up[i]``: mask of the strict supertypes of instance i.
+        self._strict_up = _close(_direct_edges(self.instances))
 
     @classmethod
     def for_sizes(cls, size_pool: Iterable[int]) -> "Lattice":
@@ -170,22 +168,30 @@ class Lattice:
     # -- order queries ---------------------------------------------------
     def is_subtype(self, sub: TypeInstance, sup: TypeInstance) -> bool:
         """Non-strict: ``sub <= sup``."""
-        return sub == sup or sup in self._supertypes.get(sub, frozenset())
+        return sub == sup or self.is_strict_subtype(sub, sup)
 
     def is_strict_subtype(self, sub: TypeInstance, sup: TypeInstance) -> bool:
-        return sub != sup and sup in self._supertypes.get(sub, frozenset())
+        i = self._index.get(sub)
+        j = self._index.get(sup)
+        return i is not None and j is not None and self._strict_up[i] >> j & 1 == 1
 
     def supertypes(self, instance: TypeInstance) -> frozenset[TypeInstance]:
         """All strict supertypes of ``instance`` within the lattice."""
-        return self._supertypes.get(instance, frozenset())
+        i = self._index.get(instance)
+        if i is None:
+            return frozenset()
+        return frozenset(self.instances_in(self._strict_up[i]))
 
     def subtypes(self, instance: TypeInstance) -> frozenset[TypeInstance]:
+        j = self._index.get(instance)
+        if j is None:
+            return frozenset()
         return frozenset(
-            other for other in self.instances if self.is_strict_subtype(other, instance)
+            t for t, up in zip(self.instances, self._strict_up) if up >> j & 1
         )
 
     def contains(self, instance: TypeInstance) -> bool:
-        return instance in self._supertypes
+        return instance in self._index
 
     def fundamentals(self) -> list[TypeInstance]:
         return [t for t in self.instances if t.fundamental]
@@ -204,17 +210,131 @@ class Lattice:
         """Maximal elements (weakest = largest value sets) among
         ``candidates``."""
         pool = list(candidates)
-        return [
-            t
-            for t in pool
-            if not any(self.is_strict_subtype(t, other) for other in pool)
-        ]
+        pool_mask = self.mask_of(pool)
+        return [t for t in pool if not self.strict_up_mask(t) & pool_mask]
 
     def strongest(self, candidates: Iterable[TypeInstance]) -> list[TypeInstance]:
         """Minimal elements among ``candidates``."""
         pool = list(candidates)
-        return [
-            t
-            for t in pool
-            if not any(self.is_strict_subtype(other, t) for other in pool)
-        ]
+        below = 0  # everything some pool member lies strictly under
+        for t in pool:
+            below |= self.strict_up_mask(t)
+        return [t for t in pool if not self.mask_of((t,)) & below]
+
+    # -- mask view ---------------------------------------------------------
+    def index(self, instance: TypeInstance) -> int:
+        """Bit position of ``instance`` (KeyError when absent)."""
+        return self._index[instance]
+
+    def mask_of(self, instances: Iterable[TypeInstance]) -> int:
+        """Mask of the given instances that lie in the lattice."""
+        mask = 0
+        for t in instances:
+            i = self._index.get(t)
+            if i is not None:
+                mask |= 1 << i
+        return mask
+
+    def strict_up_mask(self, instance: TypeInstance) -> int:
+        """Mask of the strict supertypes of ``instance`` (0 when absent)."""
+        i = self._index.get(instance)
+        return 0 if i is None else self._strict_up[i]
+
+    def up_mask(self, instance: TypeInstance) -> int:
+        """Mask of every ``t`` with ``instance <= t`` (0 when absent)."""
+        i = self._index.get(instance)
+        return 0 if i is None else self._strict_up[i] | 1 << i
+
+    def strict_up_at(self, index: int) -> int:
+        return self._strict_up[index]
+
+    def instances_in(self, mask: int) -> list[TypeInstance]:
+        """The instances whose bits are set, in lattice order."""
+        return [self.instances[i] for i in iter_bits(mask)]
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _direct_edges(instances: list[TypeInstance]) -> list[list[int]]:
+    """Direct-rule successors of each instance index.
+
+    Each rule ``DIRECT_RULES[(sub, sup)]`` is applied only to the
+    instances named ``sub`` and ``sup``; an instance is never its own
+    direct supertype (reflexivity is the order's, not a rule's).
+    """
+    by_name: dict[str, list[int]] = defaultdict(list)
+    for i, t in enumerate(instances):
+        by_name[t.name].append(i)
+    successors: list[list[int]] = [[] for _ in instances]
+    for (sub_name, sup_name), rule in DIRECT_RULES.items():
+        subs = by_name.get(sub_name)
+        sups = by_name.get(sup_name)
+        if not subs or not sups:
+            continue
+        same_template = sub_name == sup_name
+        sup_params = [(j, instances[j].param) for j in sups]
+        for i in subs:
+            param = instances[i].param
+            out = successors[i]
+            for j, sup_param in sup_params:
+                if same_template and sup_param == param:
+                    continue
+                if rule(param, sup_param):
+                    out.append(j)
+    return successors
+
+
+def _close(successors: list[list[int]]) -> list[int]:
+    """Reachability masks: bit ``j`` of the result's entry ``i`` is set
+    iff ``j`` is reachable from ``i`` by a path of one or more edges,
+    with ``i`` itself left out even when it lies on a cycle.
+
+    One iterative DFS visits the nodes in post-order, so on an acyclic
+    graph every successor's mask is final when its predecessors read
+    it.  A back edge (an extension rule may close a cycle) means some
+    masks were read early; the post-order pass then repeats until no
+    mask changes — the least fixpoint, which is plain reachability.
+    """
+    n = len(successors)
+    reach = [0] * n
+    state = [0] * n  # 0 unseen, 1 on the DFS stack, 2 finished
+    order: list[int] = []
+    cyclic = False
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(successors[root]))]
+        while stack:
+            node, pending = stack[-1]
+            for nxt in pending:
+                if state[nxt] == 0:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(successors[nxt])))
+                    break
+                if state[nxt] == 1:
+                    cyclic = True
+            else:
+                stack.pop()
+                state[node] = 2
+                order.append(node)
+                mask = 0
+                for nxt in successors[node]:
+                    mask |= reach[nxt] | 1 << nxt
+                reach[node] = mask
+    while cyclic:
+        cyclic = False
+        for node in order:
+            mask = reach[node]
+            for nxt in successors[node]:
+                mask |= reach[nxt]
+            if mask != reach[node]:
+                reach[node] = mask
+                cyclic = True
+    return [mask & ~(1 << i) for i, mask in enumerate(reach)]

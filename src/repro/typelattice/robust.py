@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro.typelattice.instances import TypeInstance
-from repro.typelattice.lattice import Lattice
+from repro.typelattice.lattice import Lattice, iter_bits
 
 
 class TestResult(enum.Enum):
@@ -118,48 +118,57 @@ def compute_robust_type(
             assumption ("we have not experienced any problems by
             assuming functions to be atomic").
     """
-    obs = [o for o in observations if o.blamed]
-    if not obs:
+    # Fold: the search depends only on which (fundamental, result)
+    # pairs occurred, never on how often.
+    pairs = list(dict.fromkeys((o.fundamental, o.result) for o in observations if o.blamed))
+    if not pairs:
         raise ValueError("cannot compute a robust type without observations")
 
     if lattice is None:
-        sizes = {o.fundamental.param for o in obs if o.fundamental.param is not None}
+        sizes = {f.param for f, _ in pairs if f.param is not None}
         lattice = Lattice.for_sizes(sizes or {0})
 
     anchor_results = {TestResult.SUCCESS}
     if conservative:
         anchor_results.add(TestResult.ERROR)
-    successes = {o.fundamental for o in obs if o.result in anchor_results}
+    successes = {f for f, result in pairs if result in anchor_results}
     if not successes:
         # Every single test either crashed or was gracefully rejected.
         # Anchoring on the empty set would let the computation pick an
         # absurdly strong type (reject everything); fall back to the
         # conservative anchor so values the function merely rejects
         # stay allowed.
-        successes = {o.fundamental for o in obs if o.result is not TestResult.FAILURE}
-    failures = {o.fundamental for o in obs if o.result is TestResult.FAILURE}
-    observed = {o.fundamental for o in obs}
+        successes = {f for f, result in pairs if result is not TestResult.FAILURE}
+    failures = {f for f, result in pairs if result is TestResult.FAILURE}
+    observed = {f for f, _ in pairs}
 
-    feasible = [
-        t
-        for t in lattice.instances
-        if all(lattice.is_subtype(s, t) for s in successes)
-    ]
+    # A candidate t contains fundamental f iff bit t of up_mask(f) is set.
+    feasible = lattice.full_mask
+    for s in successes:
+        feasible &= lattice.up_mask(s)
     if not feasible:
         raise ValueError(
             "lattice has no common supertype for the observed successes; "
             "the top type is missing from the instance set"
         )
+    failure_ups = [lattice.up_mask(f) for f in failures]
+    cover_ups = [lattice.up_mask(f) for f in observed - failures]
 
-    ideal = _select(lattice, feasible, failures, observed)
+    ideal = _select(lattice, feasible, failure_ups, cover_ups)
     if checkable is not None:
-        enforceable = [t for t in feasible if checkable(t)]
-        robust = _select(lattice, enforceable, failures, observed) if enforceable else ideal
+        enforceable = lattice.mask_of(
+            t for t in lattice.instances_in(feasible) if checkable(t)
+        )
+        robust = (
+            _select(lattice, enforceable, failure_ups, cover_ups)
+            if enforceable
+            else ideal
+        )
     else:
         robust = ideal
 
-    crash_count = _crash_count(lattice, robust, failures)
-    safe = _is_safe(lattice, ideal, obs)
+    crash_count = _contained_in(lattice.index(robust), failure_ups)
+    safe = _is_safe(lattice, ideal, pairs)
     return RobustType(
         robust=robust,
         ideal=ideal,
@@ -170,45 +179,63 @@ def compute_robust_type(
     )
 
 
-def _crash_count(
-    lattice: Lattice, candidate: TypeInstance, failures: set[TypeInstance]
-) -> int:
-    return sum(1 for f in failures if lattice.is_subtype(f, candidate))
+def _contained_in(index: int, up_masks: list[int]) -> int:
+    """How many of the fundamentals (given by their up masks) lie
+    inside the candidate at ``index``."""
+    return sum(up >> index & 1 for up in up_masks)
 
 
 def _select(
     lattice: Lattice,
-    candidates: list[TypeInstance],
-    failures: set[TypeInstance],
-    observed: set[TypeInstance],
+    candidates: int,
+    failure_ups: list[int],
+    cover_ups: list[int],
 ) -> TypeInstance:
-    """Pick the robust type from feasible candidates (see module doc)."""
-    best_crashes = min(_crash_count(lattice, t, failures) for t in candidates)
-    leanest = [
-        t for t in candidates if _crash_count(lattice, t, failures) == best_crashes
+    """Pick the robust type from the feasible candidate mask (see
+    module doc)."""
+    crashes: dict[int, int] = {}
+    crashing = 0
+    for up in failure_ups:
+        hit = up & candidates
+        crashing |= hit
+        for index in iter_bits(hit):
+            crashes[index] = crashes.get(index, 0) + 1
+    leanest = candidates & ~crashing
+    if not leanest:
+        best_crashes = min(crashes.values())
+        for index, count in crashes.items():
+            if count == best_crashes:
+                leanest |= 1 << index
+    weakest = [
+        index for index in iter_bits(leanest)
+        if not lattice.strict_up_at(index) & leanest
     ]
-    weakest = lattice.weakest(leanest)
     if len(weakest) == 1:
-        return weakest[0]
+        return lattice.instances[weakest[0]]
     # Tie-break: prefer the candidate covering more of the observed
     # non-crashing fundamentals (it rejects fewer legitimate values),
     # then the deterministic rendered name.
-    def coverage(t: TypeInstance) -> int:
-        return sum(1 for f in observed - failures if lattice.is_subtype(f, t))
-
-    weakest.sort(key=lambda t: (-coverage(t), t.render()))
-    return weakest[0]
+    weakest.sort(
+        key=lambda index: (
+            -_contained_in(index, cover_ups),
+            lattice.instances[index].render(),
+        )
+    )
+    return lattice.instances[weakest[0]]
 
 
 def _is_safe(
-    lattice: Lattice, candidate: TypeInstance, obs: list[Observation]
+    lattice: Lattice,
+    candidate: TypeInstance,
+    pairs: list[tuple[TypeInstance, TestResult]],
 ) -> bool:
     """The paper's safe-argument-type test: no contained test case
     crashed, and every excluded test case crashed."""
-    for o in obs:
-        inside = lattice.is_subtype(o.fundamental, candidate)
-        if inside and o.result is TestResult.FAILURE:
+    index = lattice.index(candidate)
+    for fundamental, result in pairs:
+        inside = lattice.up_mask(fundamental) >> index & 1
+        if inside and result is TestResult.FAILURE:
             return False
-        if not inside and o.result is not TestResult.FAILURE:
+        if not inside and result is not TestResult.FAILURE:
             return False
     return True

@@ -95,11 +95,17 @@ def compute_robust_vector(
     (for the others the call is disregarded, mirroring the paper's
     adaptive attribution loop).
     """
-    vectors = list(observations)
+    # Fold: calls with equal fundamentals, result and blame project
+    # identically, so each argument only needs the distinct ones.
+    vectors = list(
+        dict.fromkeys(
+            (v.fundamentals, v.result, v.blamed_argument) for v in observations
+        )
+    )
     if not vectors:
         raise ValueError("no observations")
-    arity = len(vectors[0].fundamentals)
-    if any(len(v.fundamentals) != arity for v in vectors):
+    arity = len(vectors[0][0])
+    if any(len(fundamentals) != arity for fundamentals, _, _ in vectors):
         raise ValueError("inconsistent observation arity")
 
     # Blame-by-elimination for unattributed crashes (fault address owned
@@ -110,31 +116,28 @@ def compute_robust_vector(
     # contains a crashing test case vector") in the componentwise
     # projection.
     returning: list[set[TypeInstance]] = [set() for _ in range(arity)]
-    for vector in vectors:
-        if vector.result is not TestResult.FAILURE:
-            for index, fundamental in enumerate(vector.fundamentals):
+    for fundamentals, result, _ in vectors:
+        if result is not TestResult.FAILURE:
+            for index, fundamental in enumerate(fundamentals):
                 returning[index].add(fundamental)
 
     results: list[RobustType] = []
     for index in range(arity):
-        projected: list[Observation] = []
-        for vector in vectors:
-            fundamental = vector.fundamentals[index]
-            if vector.result is TestResult.FAILURE:
-                if vector.blamed_argument == index:
-                    projected.append(Observation(fundamental, TestResult.FAILURE))
-                elif (
-                    vector.blamed_argument is None
-                    and fundamental not in returning[index]
+        projected: dict[tuple[TypeInstance, TestResult], None] = {}
+        for fundamentals, result, blamed in vectors:
+            fundamental = fundamentals[index]
+            if result is TestResult.FAILURE:
+                if blamed == index or (
+                    blamed is None and fundamental not in returning[index]
                 ):
-                    projected.append(Observation(fundamental, TestResult.FAILURE))
+                    projected[fundamental, TestResult.FAILURE] = None
                 # Other-argument failures are ignored for this component.
                 continue
-            projected.append(Observation(fundamental, vector.result))
+            projected[fundamental, result] = None
         lattice = lattices[index] if lattices is not None else None
         results.append(
             compute_robust_type(
-                projected,
+                [Observation(f, result) for f, result in projected],
                 lattice=lattice,
                 checkable=checkable,
                 conservative=conservative,

@@ -1,15 +1,16 @@
 """Shared fixtures.
 
-``declarations86`` loads (or generates once) the cached declarations
-for the full 86-function evaluation set, so integration tests do not
-re-run fault injection per test.
+``hardened86`` runs phase 1 once per session over the full 86-function
+evaluation set, so integration tests do not re-run fault injection per
+test.  It never reads the on-disk declaration cache: a bundle written
+by an older commit would hide what the code under test computes.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.cache import DEFAULT_CACHE, load_or_generate
+from repro.core.pipeline import HardenedLibrary, HealersPipeline
 from repro.libc.runtime import standard_runtime
 from repro.sandbox import Sandbox
 
@@ -26,8 +27,14 @@ def sandbox():
 
 @pytest.fixture(scope="session")
 def hardened86():
-    """The full pipeline output over the 86-function set (cached)."""
-    return load_or_generate(path=DEFAULT_CACHE)
+    """The full pipeline output over the 86-function set, computed
+    fresh; the per-function injection reports are dropped to keep the
+    session small."""
+    hardened = HealersPipeline().run()
+    return HardenedLibrary(
+        declarations=hardened.declarations,
+        semi_auto_declarations=hardened.semi_auto_declarations,
+    )
 
 
 @pytest.fixture(scope="session")

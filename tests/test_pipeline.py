@@ -86,8 +86,8 @@ class TestCache:
 
 
 class TestFullSetAgainstPaper:
-    """Assertions on the cached 86-function pipeline output (the
-    session fixture regenerates it when missing)."""
+    """Assertions on the 86-function pipeline output, computed fresh
+    by the session fixture."""
 
     def test_77_of_86_functions_unsafe(self, hardened86):
         from repro.libc.catalog import BALLISTA_SET
@@ -122,3 +122,18 @@ class TestFullSetAgainstPaper:
         assert counts[INCONSISTENT] == 2
         assert counts[CONSISTENT] == 39
         assert counts[NONE_FOUND] == 37
+
+
+def test_declarations_match_benchmark_golden(declarations86):
+    """Every automated declaration's XML is byte-identical to the
+    exhaustive phase-1 golden the benchmark checks against."""
+    import json
+    from pathlib import Path
+
+    golden_path = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "declarations.json"
+    golden = json.loads(golden_path.read_text())["functions"]
+    assert sorted(declarations86) == sorted(golden)
+    differing = [
+        name for name, row in golden.items() if declarations86[name].to_xml() != row["xml"]
+    ]
+    assert differing == []

@@ -1,0 +1,34 @@
+"""The package's runtime is the standard library alone.
+
+``pyproject.toml`` declares no dependencies, so importing the CLI and
+the pipeline must not load any third-party module: after a clean
+``pip install .`` anything else would fail on import.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Modules loaded before the imports (interpreter and site start-up
+# hooks) are not the package's doing and are left out.
+_PROBE = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import repro.cli
+import repro.core.pipeline
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names) - {"repro"})))
+"""
+
+
+def test_cli_and_pipeline_import_only_the_standard_library():
+    probe = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(SRC)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert probe.stdout.split() == []

@@ -69,6 +69,10 @@ class TestQuery:
         assert query(service, "inject") == 2
         assert "exactly one function" in capsys.readouterr().err
 
+    def test_semi_auto_refused_where_it_does_not_apply(self, service, capsys):
+        assert query(service, "inject", "abs", "--semi-auto") == 2
+        assert "--semi-auto does not apply to inject" in capsys.readouterr().err
+
     def test_unknown_function_is_rc_1(self, service, capsys):
         assert query(service, "inject", "nope") == 1
         assert "UNKNOWN_FUNCTION" in capsys.readouterr().err

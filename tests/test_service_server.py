@@ -186,6 +186,12 @@ class TestTypedErrors:
             with pytest.raises(ServiceError) as err:
                 client.call(op, dict(params, sampling="adaptive"))
             assert err.value.code == ErrorCode.INVALID_PARAMS, op
+        # A misspelled key is refused by name, not silently dropped
+        # (``fault_model`` would otherwise serve an unfaulted report).
+        with pytest.raises(ServiceError) as err:
+            client.call("inject", {"function": "fopen", "fault_model": "resource"})
+        assert err.value.code == ErrorCode.INVALID_PARAMS
+        assert "fault_model" in err.value.message
 
     def test_bad_version_and_garbage_lines(self, service):
         host, port = service.address
