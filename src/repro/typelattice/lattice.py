@@ -140,16 +140,15 @@ class Lattice:
 
     @classmethod
     def for_sizes(cls, size_pool: Iterable[int]) -> "Lattice":
-        """Memoized constructor — the injection hot loop's single most
-        expensive step.
+        """Memoized constructor.
 
         A lattice is a pure function of the observed sizes, the
         registered extension instances, and the direct-rule table;
         consecutive injector runs overwhelmingly share size pools, so
-        one campaign rebuilds what would otherwise be dozens of
-        identical transitive closures.  The key captures every input
-        that can change (extensibility tests register/unregister
-        instances and rules at runtime), and the cache is bounded.
+        one campaign would otherwise build dozens of identical
+        transitive closures.  The key captures every input that can
+        change (extensibility tests register/unregister instances and
+        rules at runtime), and the cache is bounded.
         """
         sizes = tuple(sorted(set(size_pool)))
         key = (
@@ -171,16 +170,12 @@ class Lattice:
         return sub == sup or self.is_strict_subtype(sub, sup)
 
     def is_strict_subtype(self, sub: TypeInstance, sup: TypeInstance) -> bool:
-        i = self._index.get(sub)
         j = self._index.get(sup)
-        return i is not None and j is not None and self._strict_up[i] >> j & 1 == 1
+        return j is not None and self._strict_up_of(sub) >> j & 1 == 1
 
     def supertypes(self, instance: TypeInstance) -> frozenset[TypeInstance]:
         """All strict supertypes of ``instance`` within the lattice."""
-        i = self._index.get(instance)
-        if i is None:
-            return frozenset()
-        return frozenset(self.instances_in(self._strict_up[i]))
+        return frozenset(self.instances_in(self._strict_up_of(instance)))
 
     def subtypes(self, instance: TypeInstance) -> frozenset[TypeInstance]:
         j = self._index.get(instance)
@@ -211,14 +206,14 @@ class Lattice:
         ``candidates``."""
         pool = list(candidates)
         pool_mask = self.mask_of(pool)
-        return [t for t in pool if not self.strict_up_mask(t) & pool_mask]
+        return [t for t in pool if not self._strict_up_of(t) & pool_mask]
 
     def strongest(self, candidates: Iterable[TypeInstance]) -> list[TypeInstance]:
         """Minimal elements among ``candidates``."""
         pool = list(candidates)
         below = 0  # everything some pool member lies strictly under
         for t in pool:
-            below |= self.strict_up_mask(t)
+            below |= self._strict_up_of(t)
         return [t for t in pool if not self.mask_of((t,)) & below]
 
     # -- mask view ---------------------------------------------------------
@@ -235,18 +230,18 @@ class Lattice:
                 mask |= 1 << i
         return mask
 
-    def strict_up_mask(self, instance: TypeInstance) -> int:
-        """Mask of the strict supertypes of ``instance`` (0 when absent)."""
-        i = self._index.get(instance)
-        return 0 if i is None else self._strict_up[i]
-
     def up_mask(self, instance: TypeInstance) -> int:
         """Mask of every ``t`` with ``instance <= t`` (0 when absent)."""
         i = self._index.get(instance)
         return 0 if i is None else self._strict_up[i] | 1 << i
 
     def strict_up_at(self, index: int) -> int:
+        """Mask of the strict supertypes of the instance at ``index``."""
         return self._strict_up[index]
+
+    def _strict_up_of(self, instance: TypeInstance) -> int:
+        i = self._index.get(instance)
+        return 0 if i is None else self._strict_up[i]
 
     def instances_in(self, mask: int) -> list[TypeInstance]:
         """The instances whose bits are set, in lattice order."""

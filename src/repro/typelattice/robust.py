@@ -120,7 +120,9 @@ def compute_robust_type(
     """
     # Fold: the search depends only on which (fundamental, result)
     # pairs occurred, never on how often.
-    pairs = list(dict.fromkeys((o.fundamental, o.result) for o in observations if o.blamed))
+    pairs = list(
+        dict.fromkeys((o.fundamental, o.result) for o in observations if o.blamed)
+    )
     if not pairs:
         raise ValueError("cannot compute a robust type without observations")
 

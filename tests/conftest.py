@@ -28,8 +28,10 @@ def sandbox():
 @pytest.fixture(scope="session")
 def hardened86():
     """The full pipeline output over the 86-function set, computed
-    fresh; the per-function injection reports are dropped to keep the
-    session small."""
+    fresh.  The injection reports are dropped: kept alive for the whole
+    session, their ~75 000 objects make every full garbage collection
+    slower, which shows up as noise in the millisecond-scale timings
+    that ledger and regression-gate tests compare."""
     hardened = HealersPipeline().run()
     return HardenedLibrary(
         declarations=hardened.declarations,

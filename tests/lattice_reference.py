@@ -31,7 +31,11 @@ class ReferenceOrder:
     def __init__(self, instances: Iterable[TypeInstance]) -> None:
         self.instances = list(dict.fromkeys(instances))
         successors = {
-            sub: [sup for sup in self.instances if sub != sup and is_direct_subtype(sub, sup)]
+            sub: [
+                sup
+                for sup in self.instances
+                if sub != sup and is_direct_subtype(sub, sup)
+            ]
             for sub in self.instances
         }
         self._supertypes: dict[TypeInstance, frozenset[TypeInstance]] = {}

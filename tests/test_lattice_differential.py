@@ -49,7 +49,9 @@ def _sub_is_even(sub, sup):
 
 _RULES = (_always, _sup_at_most_sub, _sup_within_64, _sub_is_even)
 _EXT_NAMES = ("EXT_A", "EXT_B", "EXT_C")
-_BASE_NAMES = ("NULL", "UNCONSTRAINED", "R_ARRAY", "RW_FIXED", "CSTRING", "INT_ZERO", "ANY_INT")
+_BASE_NAMES = (
+    "NULL", "UNCONSTRAINED", "R_ARRAY", "RW_FIXED", "CSTRING", "INT_ZERO", "ANY_INT",
+)
 
 #: Rule sets that each add at least one cycle to the order.
 _CYCLES = (
@@ -157,14 +159,18 @@ def test_order_matches_reference(setup, data):
             assert lattice.members_of(sup, pool) == reference.members_of(sup, pool)
             for sub in lattice.instances:
                 assert lattice.is_subtype(sub, sup) == reference.is_subtype(sub, sup)
-                assert lattice.is_strict_subtype(sub, sup) == reference.is_strict_subtype(sub, sup)
+                assert lattice.is_strict_subtype(sub, sup) == (
+                    reference.is_strict_subtype(sub, sup)
+                )
 
 
 def _checkable(data):
     names = data.draw(
         st.one_of(
             st.none(),
-            st.sets(st.sampled_from(_EXT_NAMES + _BASE_NAMES + ("R_ARRAY_NULL", "RW_ARRAY"))),
+            st.sets(
+                st.sampled_from(_EXT_NAMES + _BASE_NAMES + ("R_ARRAY_NULL", "RW_ARRAY"))
+            ),
         )
     )
     return None if names is None else (lambda t: t.name in names)

@@ -130,10 +130,12 @@ def test_declarations_match_benchmark_golden(declarations86):
     import json
     from pathlib import Path
 
-    golden_path = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "declarations.json"
-    golden = json.loads(golden_path.read_text())["functions"]
+    golden_dir = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+    golden = json.loads((golden_dir / "declarations.json").read_text())["functions"]
     assert sorted(declarations86) == sorted(golden)
     differing = [
-        name for name, row in golden.items() if declarations86[name].to_xml() != row["xml"]
+        name
+        for name, row in golden.items()
+        if declarations86[name].to_xml() != row["xml"]
     ]
     assert differing == []
