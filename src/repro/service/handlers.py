@@ -232,10 +232,10 @@ def _fault_models_param(params: dict) -> tuple[str, ...]:
         raise ServiceError(ErrorCode.INVALID_PARAMS, str(message)) from exc
 
 
-#: The param keys each work op reads.  Any other key is refused: a
-#: misspelled ``fault_models`` served an unfaulted report, and a
-#: ``sampling`` request (injection is exhaustive; docs/performance.md)
-#: answered a question the client did not ask.
+#: The param keys each work op reads.  Any other key is refused:
+#: dropping a misspelled ``fault_models`` would serve an unfaulted
+#: report, and a ``sampling`` request (injection is exhaustive;
+#: docs/performance.md) would get an answer it did not ask for.
 PARAM_KEYS = {
     "declaration": frozenset({"function", "semi_auto"}),
     "inject": frozenset({"function", "fault_models"}),

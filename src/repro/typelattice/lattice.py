@@ -133,7 +133,7 @@ class Lattice:
         self._index: dict[TypeInstance, int] = {
             t: i for i, t in enumerate(self.instances)
         }
-        #: Every instance's bit set: the top of the mask order.
+        #: Every instance's bit set (the identity for AND).
         self.full_mask = (1 << len(self.instances)) - 1
         #: ``_strict_up[i]``: mask of the strict supertypes of instance i.
         self._strict_up = _close(_direct_edges(self.instances))
