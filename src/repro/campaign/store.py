@@ -62,11 +62,6 @@ def _encode_instance(instance: TypeInstance) -> list[object]:
     return [instance.name, instance.param, instance.fundamental, instance.family]
 
 
-def _decode_instance(item: list[object]) -> TypeInstance:
-    name, param, fundamental, family = item
-    return TypeInstance(name, param, fundamental, family)
-
-
 def _instance_key(instance: TypeInstance) -> tuple:
     return (instance.name, instance.param is not None, instance.param or 0,
             instance.fundamental, instance.family)
@@ -141,22 +136,38 @@ def report_to_payload(report: InjectionReport, prototype_text: str) -> dict:
 def report_from_payload(
     payload: dict, parser: Optional[DeclarationParser] = None
 ) -> InjectionReport:
-    """Rebuild the report; inverse of :func:`report_to_payload`."""
+    """Rebuild the report; inverse of :func:`report_to_payload`.
+
+    Each distinct encoded type instance decodes to one shared
+    :class:`TypeInstance` (they are frozen, so sharing is invisible to
+    ``==``): a payload repeats a handful of instances across thousands
+    of observations, and a report kept in memory stays small.
+    """
     if payload.get("schema") != CACHE_SCHEMA:
         raise ValueError(f"unsupported outcome schema: {payload.get('schema')!r}")
     parser = parser or DeclarationParser(typedef_table())
+    interned: dict[tuple, TypeInstance] = {}
+
+    def decode_instance(item: list[object]) -> TypeInstance:
+        key = tuple(item)
+        instance = interned.get(key)
+        if instance is None:
+            name, param, fundamental, family = key
+            instance = interned[key] = TypeInstance(name, param, fundamental, family)
+        return instance
+
     errno = payload["errno_class"]
     return InjectionReport(
         name=payload["name"],
         prototype=parser.parse_prototype(payload["prototype"]),
         robust_types=[
             RobustType(
-                robust=_decode_instance(r["robust"]),
-                ideal=_decode_instance(r["ideal"]),
+                robust=decode_instance(r["robust"]),
+                ideal=decode_instance(r["ideal"]),
                 safe=r["safe"],
                 crash_free=r["crash_free"],
-                successes=frozenset(_decode_instance(i) for i in r["successes"]),
-                failures=frozenset(_decode_instance(i) for i in r["failures"]),
+                successes=frozenset(decode_instance(i) for i in r["successes"]),
+                failures=frozenset(decode_instance(i) for i in r["failures"]),
             )
             for r in payload["robust_types"]
         ],
@@ -173,7 +184,7 @@ def report_from_payload(
         hangs=payload["hangs"],
         observations=[
             VectorObservation(
-                tuple(_decode_instance(f) for f in fundamentals),
+                tuple(decode_instance(f) for f in fundamentals),
                 TestResult(result),
                 blamed,
             )
@@ -232,7 +243,8 @@ class OutcomeStore:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
+                # json.dumps, not json.dump: only dumps uses the C encoder.
+                handle.write(json.dumps(payload, separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -11,12 +11,18 @@ The request path for anything needing an
 :class:`~repro.injector.InjectionReport` is always::
 
     digest = outcome_digest(spec)          # content address (cached)
-    store hit?      -> decode, zero sandbox work
-    store miss?     -> single-flight by digest -> worker pool injection
+    memo hit?       -> the decoded report, no store read, no decode
+    store hit?      -> decode once, memoize, zero sandbox work
+    store miss or
+    undecodable?    -> single-flight by digest -> worker pool injection
                        -> persist to the store -> every waiter shares it
+                       -> decode, memoize
 
-so a warm cache answers without touching the sandbox, and N identical
-concurrent requests cost exactly one injection.
+so a warm cache answers without touching the sandbox or the disk, and
+N identical concurrent requests cost exactly one injection.  The memo
+is keyed by the outcome digest, which pins the payload's content, so
+it can never serve a stale report; handlers only read the reports it
+hands out.  Without a store nothing is memoized.
 """
 
 from __future__ import annotations
@@ -41,6 +47,11 @@ from repro.obs.telemetry import NULL_TELEMETRY
 from repro.service.admission import AdmissionController
 from repro.service.protocol import PROTOCOL_VERSION, ErrorCode, ServiceError
 from repro.service.singleflight import SingleFlight
+
+#: Bound on :attr:`ServiceState._reports`, the per-digest memo of
+#: decoded reports; it is cleared when full.  The 86-function catalog
+#: under a few fault-model sets fits.
+_REPORT_MEMO_LIMIT = 256
 
 
 def _run_injection(
@@ -106,6 +117,7 @@ class ServiceState:
         self.started = time.monotonic()
         self.shutting_down = False
         self._digests: dict[tuple[str, tuple[str, ...]], str] = {}
+        self._reports: dict[str, InjectionReport] = {}
         # The fleet's shard broker: remote workers lease campaign
         # shards from here (see repro.fleet.broker).
         self.broker = ShardBroker(telemetry=self.telemetry, lease_ttl=lease_ttl)
@@ -133,18 +145,29 @@ class ServiceState:
         return BY_NAME[name]
 
     # ------------------------------------------------------------------
-    async def report_payload(
+    def _memoize(self, digest: str, report: InjectionReport) -> None:
+        if len(self._reports) >= _REPORT_MEMO_LIMIT:
+            self._reports.clear()
+        self._reports[digest] = report
+
+    async def report_for(
         self, name: str, fault_models: tuple[str, ...] = ()
-    ) -> tuple[dict, str]:
-        """One function's outcome payload plus how it was obtained
-        (``"cache"`` or ``"injected"``)."""
+    ) -> tuple[InjectionReport, str]:
+        """One function's report plus how it was obtained (``"cache"``
+        or ``"injected"``).  Callers share the returned report and must
+        not mutate it."""
         self.spec_for(name)
         digest = self.digest_for(name, fault_models)
         if self.store is not None:
-            payload = self.store.get_payload(digest)
-            if payload is not None:
+            report = self._reports.get(digest)
+            if report is None:
+                # An entry that does not decode reads as a miss.
+                report = self.store.get(digest, self.parser)
+                if report is not None:
+                    self._memoize(digest, report)
+            if report is not None:
                 self.telemetry.counter("service.cache", result="hit").inc()
-                return payload, "cache"
+                return report, "cache"
             self.telemetry.counter("service.cache", result="miss").inc()
 
         async def factory() -> dict:
@@ -161,13 +184,10 @@ class ServiceState:
             return payload
 
         payload = await self.singleflight.run(digest, factory)
-        return payload, "injected"
-
-    async def report_for(
-        self, name: str, fault_models: tuple[str, ...] = ()
-    ) -> tuple[InjectionReport, str]:
-        payload, source = await self.report_payload(name, fault_models)
-        return report_from_payload(payload, self.parser), source
+        report = report_from_payload(payload, self.parser)
+        if self.store is not None:
+            self._memoize(digest, report)
+        return report, "injected"
 
     # ------------------------------------------------------------------
     def close(self) -> None:

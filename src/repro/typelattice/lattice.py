@@ -148,13 +148,15 @@ class Lattice:
         one campaign would otherwise build dozens of identical
         transitive closures.  The key captures every input that can
         change (extensibility tests register/unregister instances and
-        rules at runtime), and the cache is bounded.
+        rules at runtime), and the cache is bounded.  The key holds the
+        rule objects themselves, not their ids: a replaced rule that
+        was freed could hand its id to its replacement.
         """
         sizes = tuple(sorted(set(size_pool)))
         key = (
             sizes,
             tuple(registry.EXTENSION_INSTANCES),
-            tuple(sorted((edge, id(rule)) for edge, rule in DIRECT_RULES.items())),
+            tuple(sorted(DIRECT_RULES.items())),
         )
         cached = _LATTICE_CACHE.get(key)
         if cached is None:

@@ -109,3 +109,33 @@ class TestHelpers:
         fundamentals = [R.RONLY_FIXED(44), R.RW_FIXED(44), R.NULL, R.INVALID]
         members = lattice.members_of(R.R_ARRAY_NULL(44), fundamentals)
         assert members == {R.RONLY_FIXED(44), R.RW_FIXED(44), R.NULL}
+
+
+class TestLatticeMemo:
+    def test_replaced_rule_is_never_served_a_stale_lattice(self):
+        """``for_sizes`` must follow the current rule object even when a
+        replacement lands at the id its freed predecessor had."""
+        from repro.typelattice.rules import DIRECT_RULES
+
+        edge = ("RONLY_FIXED", "R_ARRAY")
+        original = DIRECT_RULES[edge]
+        seen_ids: set[int] = set()
+        try:
+            for flip in range(64):
+                expected = flip % 2 == 0
+                # Drop the old rule before making the new one, so the
+                # new one can land at its id unless the memo keeps it.
+                del DIRECT_RULES[edge]
+                if expected:
+                    DIRECT_RULES[edge] = lambda a, b: True
+                else:
+                    DIRECT_RULES[edge] = lambda a, b: False
+                rule_id = id(DIRECT_RULES[edge])
+                lattice = Lattice.for_sizes({4})
+                assert lattice.is_subtype(R.RONLY_FIXED(4), R.R_ARRAY(4)) is expected
+                if rule_id in seen_ids:
+                    break  # an id was reused and the lattice still followed
+                seen_ids.add(rule_id)
+        finally:
+            DIRECT_RULES[edge] = original
+        assert Lattice.for_sizes({4}).is_subtype(R.RONLY_FIXED(4), R.R_ARRAY(4))
