@@ -140,8 +140,9 @@ def report_from_payload(
 
     Each distinct encoded type instance decodes to one shared
     :class:`TypeInstance` (they are frozen, so sharing is invisible to
-    ``==``): a payload repeats a handful of instances across thousands
-    of observations, and a report kept in memory stays small.
+    ``==``): a catalog payload holds at most a few hundred distinct
+    instances across thousands of observations, so a report kept in
+    memory stays small.
     """
     if payload.get("schema") != CACHE_SCHEMA:
         raise ValueError(f"unsupported outcome schema: {payload.get('schema')!r}")

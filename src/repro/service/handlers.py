@@ -49,8 +49,8 @@ from repro.service.protocol import PROTOCOL_VERSION, ErrorCode, ServiceError
 from repro.service.singleflight import SingleFlight
 
 #: Bound on :attr:`ServiceState._reports`, the per-digest memo of
-#: decoded reports; it is cleared when full.  The 86-function catalog
-#: under a few fault-model sets fits.
+#: decoded reports; it is cleared when full, so a client cycling
+#: through many fault-model sets cannot grow memory without limit.
 _REPORT_MEMO_LIMIT = 256
 
 
