@@ -1,18 +1,14 @@
-"""Bench: campaign engine scaling — serial vs fleet modes vs warm cache.
+"""Bench: campaign engine scaling — serial vs the process pool vs warm cache.
 
-Runs a 20-function injection campaign four ways — serial, on the
-thread fleet, on the process fleet, and again over a warm
-content-addressed cache — and records every wall clock to
-``BENCH_campaign.json`` so CI archives the trajectory.
+Runs a 20-function injection campaign three ways — serial, on the
+``processes`` fleet mode (the supervised pool ``--jobs N`` also uses),
+and again over a warm content-addressed cache — and records every wall
+clock to ``BENCH_campaign.json`` so CI archives the trajectory.
 
-Honesty rules (this bench used to lie by omission):
+Honesty rules:
 
-* every timing row records its ``fleet_mode`` — a thread number and a
-  process number are different experiments and never alias;
-* the thread row is a *labeled baseline*: the GIL serializes the
-  injection loop, so thread "parallelism" hovers near 1x and no
-  speedup bar is asserted against it — it exists to be seen, not to
-  pass;
+* every timing row records its ``fleet_mode``, so different
+  experiments never alias in the ledger;
 * the >=2x speedup bar is asserted against **process mode**, and only
   when the machine actually has the cores to show it (CI runners do;
   a single-core container cannot speed up CPU-bound work and only
@@ -65,13 +61,6 @@ def test_campaign_scaling(tmp_path):
     serial, serial_seconds = _timed_campaign(CampaignConfig())
     assert serial.ran == len(BENCH_FUNCTIONS)
 
-    threads, thread_seconds = _timed_campaign(
-        CampaignConfig(fleet="threads", workers=PARALLEL_JOBS)
-    )
-    assert threads.failed == {}
-    assert list(threads.reports) == BENCH_FUNCTIONS
-    assert threads.reports == serial.reports
-
     cache_dir = tmp_path / "campaign-cache"
     processes, process_seconds = _timed_campaign(
         CampaignConfig(
@@ -101,7 +90,6 @@ def test_campaign_scaling(tmp_path):
     process_speedup = (
         serial_seconds / process_seconds if process_seconds else 0.0
     )
-    thread_speedup = serial_seconds / thread_seconds if thread_seconds else 0.0
     payload = {
         "functions": len(BENCH_FUNCTIONS),
         "jobs": PARALLEL_JOBS,
@@ -116,13 +104,6 @@ def test_campaign_scaling(tmp_path):
                 "workers": 1,
                 "seconds": round(serial_seconds, 3),
                 "speedup": 1.0,
-            },
-            {
-                "fleet_mode": "threads",
-                "workers": threads.workers,
-                "seconds": round(thread_seconds, 3),
-                "speedup": round(thread_speedup, 3),
-                "baseline_only": True,  # GIL-bound; never asserted
             },
             {
                 "fleet_mode": "processes",

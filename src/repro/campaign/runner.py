@@ -8,10 +8,11 @@ managed campaign:
 2. **cache** — serve unchanged functions from the
    :class:`~repro.campaign.store.OutcomeStore` without touching the
    sandbox;
-3. **inject** — fan the misses out over the
-   :mod:`~repro.campaign.scheduler` pool (``jobs`` workers, per-task
-   timeout, bounded retry; a crashed or hung worker fails only its
-   function and the campaign continues);
+3. **inject** — hand the misses to :func:`run_fleet`: inline for one
+   worker, else the :mod:`~repro.campaign.scheduler` pool (the
+   ``processes`` mode: per-task timeout, heartbeats, bounded retry; a
+   crashed or hung worker fails only its function and the campaign
+   continues), or the ``remote`` fleet;
 4. **finalize** — assemble reports in catalog order (independent of
    worker completion order), persist fresh outcomes to the store, and
    checkpoint the manifest.
@@ -38,6 +39,7 @@ from repro.campaign.scheduler import (
     DEFAULT_TASK_RETRIES,
     DEFAULT_TASK_TIMEOUT,
     TaskResult,
+    clamp_jobs,
     effective_jobs,
     run_tasks,
 )
@@ -70,9 +72,9 @@ class CampaignConfig:
     #: When set, the finished campaign is ingested into this results
     #: ledger (``repro.obs.ledger``) at finalize time.
     ledger: Optional[Path] = None
-    #: Fleet execution mode (``threads`` | ``processes`` | ``remote``);
-    #: None keeps the legacy scheduler (inline for jobs<=1, the
-    #: supervised pool otherwise).
+    #: Fleet execution mode (``processes`` | ``remote``); None is the
+    #: ``processes`` mode, which runs inline for a width of 1 and on
+    #: the supervised pool otherwise.
     fleet: Optional[str] = None
     #: Fleet worker count; defaults to ``jobs`` when unset.
     workers: Optional[int] = None
@@ -106,8 +108,8 @@ class CampaignResult:
     outcomes: dict[str, FunctionOutcome]
     phase_timings: dict[str, float] = field(default_factory=dict)
     campaign: str = ""
-    #: How the inject phase executed: ``serial`` | ``pool`` | a fleet
-    #: mode (``threads`` | ``processes`` | ``remote``).
+    #: How the inject phase executed: ``serial`` | ``processes`` |
+    #: ``remote``.
     fleet_mode: str = "serial"
     #: Effective worker count of the inject phase.
     workers: int = 1
@@ -155,6 +157,71 @@ def _inject_payload(
     return report_to_payload(report, spec.prototype)
 
 
+def _check_fleet_mode(mode: str) -> None:
+    from repro.fleet.wire import FLEET_MODES
+
+    if mode not in FLEET_MODES:
+        raise ValueError(
+            f"unknown fleet mode {mode!r} (choose from {FLEET_MODES})"
+        )
+
+
+def run_fleet(
+    mode: str,
+    names: Sequence[str],
+    digests: dict[str, str],
+    *,
+    campaign: str,
+    workers: int,
+    seed: int = 0,
+    max_vectors: int,
+    timeout: Optional[float] = DEFAULT_TASK_TIMEOUT,
+    task_retries: int = DEFAULT_TASK_RETRIES,
+    telemetry=NULL_TELEMETRY,
+    on_result: Optional[Callable[[TaskResult], None]] = None,
+    cache_dir=None,
+    address: Optional[str] = None,
+    fault_models: Sequence[str] = (),
+) -> dict[str, TaskResult]:
+    """Execute the named functions in one fleet mode and return
+    ``{name: TaskResult}`` (merge order is the caller's — the campaign
+    runner assembles catalog order).
+
+    ``processes`` runs every function through
+    :func:`repro.fleet.worker.run_function` on :func:`run_tasks`:
+    inline when ``workers <= 1``, else the supervised pool (clamped to
+    the host's cores, never below one supervised worker).  ``remote``
+    hands wire-format shards to a service daemon's broker.
+    """
+    _check_fleet_mode(mode)
+    if mode == "remote":
+        from repro.fleet.remote import run_remote_fleet
+
+        return run_remote_fleet(
+            names, digests, campaign=campaign,
+            workers=clamp_jobs(workers, len(names), "remote", telemetry),
+            seed=seed, max_vectors=max_vectors, timeout=timeout,
+            task_retries=task_retries, telemetry=telemetry,
+            on_result=on_result, cache_dir=cache_dir, address=address,
+            fault_models=tuple(fault_models),
+        )
+    from repro.fleet.worker import run_function
+
+    return run_tasks(
+        names,
+        functools.partial(
+            run_function, digests=dict(digests), seed=seed,
+            max_vectors=max_vectors, fault_models=tuple(fault_models),
+        ),
+        jobs=workers,
+        timeout=timeout,
+        task_retries=task_retries,
+        seed=seed,
+        telemetry=telemetry,
+        on_result=on_result,
+    )
+
+
 class CampaignRunner:
     """Schedules, caches, and checkpoints one injection campaign."""
 
@@ -182,6 +249,7 @@ class CampaignRunner:
             config = replace(
                 config, fault_models=canonical_fault_specs(config.fault_models)
             )
+        _check_fleet_mode(config.fleet or "processes")
         self.config = config
         self.telemetry = telemetry
         self.progress = progress
@@ -271,7 +339,10 @@ class CampaignRunner:
                 self.progress(result.name, outcome, report)
 
         requested = config.workers if config.workers is not None else config.jobs
-        fleet_mode = config.fleet or ("pool" if config.jobs > 1 else "serial")
+        if config.fleet == "remote":
+            fleet_mode = "remote"
+        else:
+            fleet_mode = "processes" if requested > 1 else "serial"
         workers = effective_jobs(
             requested, len(names), config.fleet or "processes"
         )
@@ -282,40 +353,22 @@ class CampaignRunner:
                 jobs=config.jobs,
                 fleet=fleet_mode,
             ):
-                if config.fleet is not None:
-                    from repro.fleet import run_fleet
-
-                    run_fleet(
-                        config.fleet,
-                        misses,
-                        digests,
-                        campaign=ident,
-                        workers=requested,
-                        seed=config.seed,
-                        max_vectors=config.max_vectors,
-                        timeout=config.timeout,
-                        task_retries=config.task_retries,
-                        telemetry=telemetry,
-                        on_result=on_result,
-                        cache_dir=config.cache_dir,
-                        address=config.fleet_address,
-                        fault_models=config.fault_models,
-                    )
-                else:
-                    run_tasks(
-                        misses,
-                        functools.partial(
-                            _inject_payload,
-                            max_vectors=config.max_vectors,
-                            fault_models=config.fault_models,
-                        ),
-                        jobs=config.jobs,
-                        timeout=config.timeout,
-                        task_retries=config.task_retries,
-                        seed=config.seed,
-                        telemetry=telemetry,
-                        on_result=on_result,
-                    )
+                run_fleet(
+                    config.fleet or "processes",
+                    misses,
+                    digests,
+                    campaign=ident,
+                    workers=requested,
+                    seed=config.seed,
+                    max_vectors=config.max_vectors,
+                    timeout=config.timeout,
+                    task_retries=config.task_retries,
+                    telemetry=telemetry,
+                    on_result=on_result,
+                    cache_dir=config.cache_dir,
+                    address=config.fleet_address,
+                    fault_models=config.fault_models,
+                )
         timings["inject"] = time.perf_counter() - started
 
         # -------------------------------------------------- finalize phase

@@ -1,8 +1,10 @@
-"""Deterministic sharding and a supervised worker pool.
+"""Deterministic sharding and the one supervised worker pool.
 
 The scheduler turns a list of task names into a set of
 :class:`TaskResult`\\ s, either inline (``jobs <= 1``) or by fanning
-out over a ``multiprocessing`` pool it supervises itself:
+out over a ``multiprocessing`` pool it supervises itself.  Every local
+parallel path runs here: ``campaign run --jobs N``, ``--fleet
+processes`` and the sharded Ballista sweep.
 
 * **Deterministic sharding** — :func:`plan_shards` stripes the task
   list round-robin; dispatch order interleaves the shards so early
@@ -13,15 +15,30 @@ out over a ``multiprocessing`` pool it supervises itself:
 * **Per-task timeout** — the parent timestamps every task start; a
   worker that exceeds the deadline is killed, the task retried on a
   fresh worker (bounded by ``task_retries``) or marked ``failed``.
+* **Heartbeats** — every worker beats from a side thread each
+  :data:`HEARTBEAT_INTERVAL`; a worker alive but silent past
+  ``heartbeat_timeout`` (stopped, or wedged outside the interpreter)
+  is killed and its task retried, even when ``timeout`` is None.
 * **Graceful degradation** — a crashed worker (raised, killed, or
   died outright) fails only its current task; the pool respawns a
-  replacement and the campaign continues.
+  replacement and the campaign continues.  Dispatch is per task, so a
+  dead worker strands nothing but the task it was running.
 
 Results travel over one ``Pipe`` per worker rather than a shared
 ``multiprocessing.Queue``: ``Connection.send`` writes synchronously
 (no feeder thread), so a worker that dies right after reporting can
 not lose the report, and worker death itself surfaces as EOF on its
 pipe instead of needing liveness polling.
+
+Chaos hook
+----------
+
+``REPRO_FLEET_CHAOS=kill-after:N`` makes a pool worker ``SIGKILL``
+itself after completing N tasks — the deterministic stand-in for
+``kill -9`` that the recovery tests and the CI fleet job use to prove
+retry-on-death without racing a real signal against the pool.  The
+hook is read once per completion and does nothing when the variable
+is unset.  The inline path never calls it.
 
 The worker callable must be picklable (a module-level function or a
 ``functools.partial`` of one) and return a JSON-able payload dict.
@@ -32,6 +49,8 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import random
+import signal
+import threading
 import time
 import traceback
 import zlib
@@ -46,6 +65,17 @@ DEFAULT_TASK_TIMEOUT = 300.0
 
 #: Extra attempts granted to a task whose worker crashed or hung.
 DEFAULT_TASK_RETRIES = 1
+
+#: Worker heartbeat period (seconds).
+HEARTBEAT_INTERVAL = 0.5
+
+#: Parent-side silence budget: a worker alive but silent this long is
+#: treated as wedged and killed.  Generous — heartbeats flow from a
+#: side thread even during CPU-bound injection.
+DEFAULT_HEARTBEAT_TIMEOUT = 60.0
+
+#: Environment variable holding the chaos policy (``kill-after:N``).
+CHAOS_ENV = "REPRO_FLEET_CHAOS"
 
 #: Parent poll interval while waiting on worker messages (seconds).
 _POLL = 0.05
@@ -101,22 +131,17 @@ def effective_jobs(
 ) -> int:
     """Worker count actually worth running for the given fleet mode.
 
-    ``processes`` (the pool and the process fleet): clamped to the host
-    CPU count — oversubscribing cores never speeds up CPU-bound
-    injection work, it only adds scheduling noise (a 4-worker pool on a
-    1-core host benches *slower* than serial).
-
-    ``threads``: **not** CPU-clamped.  The GIL serializes the injection
-    loop regardless, so thread count is a concurrency knob, not a core
-    allocation; clamping it by cores would be the thread heuristic
-    lying about process capacity and vice versa.
+    ``processes`` (the supervised pool, whether reached by ``--jobs N``
+    or ``--fleet processes``): clamped to the host CPU count —
+    oversubscribing cores never speeds up CPU-bound injection work, it
+    only adds scheduling noise (a 4-worker pool on a 1-core host
+    benches *slower* than serial).
 
     ``remote``: **not** CPU-clamped.  The coordinator's core count says
     nothing about where leased shards execute.
 
     Every mode is clamped to the task count when known (a worker with
-    no shard to lease is pure spawn cost), and benches record this
-    value.
+    no task to run is pure spawn cost), and benches record this value.
     """
     width = max(1, jobs)
     if mode == "processes":
@@ -164,30 +189,81 @@ def reseed(campaign_seed: int, name: str) -> None:
 # worker side
 # ----------------------------------------------------------------------
 
+#: Attempt number of the task this process is running (see
+#: :func:`current_attempt`).
+_attempt = 1
 
-def _pool_worker(worker, campaign_seed, task_q, conn, worker_id):
-    """Worker loop: announce, execute, report; never raises."""
+
+def current_attempt() -> int:
+    """The 1-based attempt number of the task the calling process is
+    running; set by the pool (and the inline path) before each call."""
+    return _attempt
+
+
+def maybe_chaos_exit(completed: int) -> None:
+    """Honour ``REPRO_FLEET_CHAOS=kill-after:N``: after N completed
+    tasks the worker SIGKILLs itself (no cleanup, no goodbye —
+    exactly what a kernel OOM kill or a ``kill -9`` looks like)."""
+    policy = os.environ.get(CHAOS_ENV, "")
+    if not policy.startswith("kill-after:"):
+        return
+    try:
+        threshold = int(policy.split(":", 1)[1])
+    except ValueError:
+        return
+    if completed >= threshold:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _pool_worker(worker, campaign_seed, task_q, conn):
+    """Worker loop: announce, execute, report; never raises.
+
+    All sends share one lock because the heartbeat thread writes the
+    same pipe.
+    """
+    global _attempt
+    send_lock = threading.Lock()
+
+    def send(message: tuple) -> None:
+        with send_lock:
+            conn.send(message)
+
+    stop = threading.Event()
+
+    def beat() -> None:
+        while not stop.wait(HEARTBEAT_INTERVAL):
+            try:
+                send(("hb",))
+            except (OSError, ValueError):
+                return
+
+    threading.Thread(target=beat, name="pool-heartbeat", daemon=True).start()
+    completed = 0
     try:
         while True:
             item = task_q.get()
             if item is None:
                 break
-            attempt, name = item
-            conn.send(("start", name, attempt))
+            _attempt, name = item
+            send(("start", name, _attempt))
             started = time.perf_counter()
             try:
                 reseed(campaign_seed, name)
                 payload = worker(name)
             except BaseException:
-                conn.send(("err", name, attempt, traceback.format_exc(limit=20)))
+                send(("err", name, _attempt, traceback.format_exc(limit=20)))
             else:
-                conn.send(
-                    ("ok", name, attempt, payload, time.perf_counter() - started)
+                send(
+                    ("ok", name, _attempt, payload, time.perf_counter() - started)
                 )
+            completed += 1
+            maybe_chaos_exit(completed)
     except (BrokenPipeError, EOFError, KeyboardInterrupt):
         pass
     finally:
-        conn.close()
+        stop.set()
+        with send_lock:
+            conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -203,11 +279,13 @@ def _run_inline(
     telemetry,
     on_result,
 ) -> dict[str, TaskResult]:
+    global _attempt
     results: dict[str, TaskResult] = {}
     for name in names:
         attempts = 0
         while True:
             attempts += 1
+            _attempt = attempts
             started = time.perf_counter()
             try:
                 reseed(seed, name)
@@ -235,13 +313,14 @@ def _run_inline(
 class _WorkerSlot:
     """Parent-side view of one pool process."""
 
-    __slots__ = ("process", "conn", "current", "started_at")
+    __slots__ = ("process", "conn", "current", "started_at", "last_beat")
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
         self.current: Optional[tuple[str, int]] = None  # (name, attempt)
         self.started_at = 0.0
+        self.last_beat = time.perf_counter()
 
 
 def run_tasks(
@@ -253,12 +332,16 @@ def run_tasks(
     seed: int = 0,
     telemetry=NULL_TELEMETRY,
     on_result: Optional[Callable[[TaskResult], None]] = None,
+    heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
 ) -> dict[str, TaskResult]:
     """Execute ``worker(name)`` for every name; returns name→result.
 
-    ``on_result`` fires in completion order; callers needing
-    deterministic output must iterate their own task order (the
-    campaign runner assembles in catalog order).
+    ``timeout`` bounds one task's wall clock (None: unbounded) and
+    ``heartbeat_timeout`` bounds a pool worker's silence; either kill
+    retries the task within ``task_retries``.  ``on_result`` fires in
+    completion order; callers needing deterministic output must iterate
+    their own task order (the campaign runner assembles in catalog
+    order).
     """
     if not names:
         return {}
@@ -275,22 +358,22 @@ def run_tasks(
     # apply (the inline path above has neither).
     width = clamp_jobs(jobs, len(names), mode="processes", telemetry=telemetry)
 
-    def spawn(worker_id: int) -> _WorkerSlot:
+    def spawn() -> _WorkerSlot:
         receiver, sender = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_pool_worker,
-            args=(worker, seed, task_q, sender, worker_id),
+            args=(worker, seed, task_q, sender),
             daemon=True,
         )
         process.start()
         sender.close()  # parent keeps only the read end
-        telemetry.counter("campaign.workers_spawned").inc()
+        telemetry.counter("fleet.workers_spawned").inc()
         return _WorkerSlot(process, receiver)
 
     for name in dispatch_order(names, width):
         task_q.put((1, name))
 
-    slots: dict[int, _WorkerSlot] = {i: spawn(i) for i in range(width)}
+    slots: dict[int, _WorkerSlot] = {i: spawn() for i in range(width)}
     conn_to_id = {slot.conn: wid for wid, slot in slots.items()}
     next_worker_id = width
     results: dict[str, TaskResult] = {}
@@ -309,25 +392,33 @@ def run_tasks(
             return
         if attempt <= task_retries:
             task_q.put((attempt + 1, name))
-            telemetry.counter("campaign.task_retries").inc()
+            telemetry.counter("fleet.task_retries").inc()
         else:
             finalize(TaskResult(name, "failed", error=error, attempts=attempt))
 
-    def drop_slot(worker_id: int) -> None:
+    def retire(worker_id: int, reason: Optional[str] = None) -> None:
+        """Kill and reap one worker, retry or fail the task it was
+        running, and spawn its replacement.  ``reason=None`` means the
+        worker died on its own (EOF on its pipe)."""
+        nonlocal next_worker_id
         slot = slots.pop(worker_id)
         conn_to_id.pop(slot.conn, None)
         slot.conn.close()
+        slot.process.kill()
         slot.process.join(timeout=1.0)
-        if slot.process.is_alive():
-            slot.process.kill()
-            slot.process.join(timeout=1.0)
-
-    def respawn() -> None:
-        nonlocal next_worker_id
+        if reason is None:
+            telemetry.counter("fleet.worker_deaths").inc()
+            reason = f"worker died (exitcode {slot.process.exitcode})"
+        if slot.current is not None:
+            name, attempt = slot.current
+            telemetry.event("fleet.worker_crash", function=name, reason=reason)
+            retry_or_fail(
+                name, attempt, f"{reason} and the retry budget is spent"
+            )
         if len(results) < len(names):
-            slot = spawn(next_worker_id)
-            slots[next_worker_id] = slot
-            conn_to_id[slot.conn] = next_worker_id
+            replacement = spawn()
+            slots[next_worker_id] = replacement
+            conn_to_id[replacement.conn] = next_worker_id
             next_worker_id += 1
 
     try:
@@ -346,24 +437,14 @@ def run_tasks(
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
-                    # Worker death: EOF on its pipe.  Its current task
-                    # (if the start report arrived) is retried.
-                    current = slot.current
-                    exitcode = slot.process.exitcode
-                    drop_slot(worker_id)
-                    if current is not None:
-                        telemetry.event(
-                            "campaign.worker_crash", function=current[0]
-                        )
-                        retry_or_fail(
-                            current[0], current[1],
-                            f"worker died (exitcode {exitcode})",
-                        )
-                    respawn()
+                    retire(worker_id)
                     last_activity = now
                     continue
-                last_activity = now
+                slot.last_beat = now
                 kind = message[0]
+                if kind == "hb":
+                    continue
+                last_activity = now
                 if kind == "start":
                     slot.current = (message[1], message[2])
                     slot.started_at = now
@@ -382,19 +463,22 @@ def run_tasks(
                     _, name, attempt, error = message
                     retry_or_fail(name, attempt, error)
 
-            # Deadline policing for hung tasks.
-            if timeout is not None:
-                for worker_id, slot in list(slots.items()):
-                    if slot.current is None:
-                        continue
-                    if now - slot.started_at <= timeout:
-                        continue
-                    name, attempt = slot.current
-                    telemetry.event("campaign.task_timeout", function=name)
-                    slot.process.terminate()
-                    drop_slot(worker_id)
-                    retry_or_fail(name, attempt, f"timed out after {timeout:.1f}s")
-                    respawn()
+            for worker_id, slot in list(slots.items()):
+                if (
+                    timeout is not None
+                    and slot.current is not None
+                    and now - slot.started_at > timeout
+                ):
+                    # Deadline policing for hung tasks.
+                    telemetry.event(
+                        "fleet.task_timeout", function=slot.current[0]
+                    )
+                    retire(worker_id, f"timed out after {timeout:.1f}s")
+                    last_activity = now
+                elif now - slot.last_beat > heartbeat_timeout:
+                    # Wedge policing: alive but silent, not even beats.
+                    telemetry.event("fleet.worker_wedged", worker=worker_id)
+                    retire(worker_id, "worker went silent (no heartbeats)")
                     last_activity = now
 
             # Stall guard for the start-report race (worker died between

@@ -7,8 +7,9 @@ Exposes the pipeline the way the real HEALERS tooling would be driven:
 * ``harden``             — run the pipeline and write the C artifacts
 * ``ballista``           — the Figure-6 robustness evaluation
 * ``campaign``           — managed campaigns: run / status / clean
-  (``run --fleet {threads,processes,remote} --workers N`` executes the
-  inject phase on the :mod:`repro.fleet` fabric)
+  (``run --fleet {processes,remote} --workers N`` executes the inject
+  phase on the :mod:`repro.fleet` fabric; ``--jobs N`` is ``--fleet
+  processes --workers N``)
 * ``serve``              — the hardening-as-a-service daemon
 * ``query``              — one request against a running daemon
 * ``fleet``              — remote campaign workers (``fleet worker
@@ -25,9 +26,10 @@ Exposes the pipeline the way the real HEALERS tooling would be driven:
 ``inject``, ``harden`` and ``ballista`` accept ``--trace PATH`` to
 record the run's telemetry as a JSONL trace readable by ``report``,
 plus the campaign engine's ``--jobs N`` / ``--cache-dir DIR`` /
-``--resume`` (parallel fan-out, content-addressed outcome reuse, and
-checkpoint continuation); ``extract``, ``inject``, ``harden`` and
-``ballista`` accept ``--json`` for scriptable output.
+``--resume`` (fan-out over the supervised process pool,
+content-addressed outcome reuse, and checkpoint continuation);
+``extract``, ``inject``, ``harden`` and ``ballista`` accept ``--json``
+for scriptable output.
 """
 
 from __future__ import annotations
@@ -894,12 +896,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_run.add_argument("functions", nargs="*",
                               help="functions (default: the 86-function set)")
-    campaign_run.add_argument("--jobs", type=int, default=1, metavar="N")
-    campaign_run.add_argument("--fleet", choices=["threads", "processes", "remote"],
+    campaign_run.add_argument("--jobs", type=int, default=1, metavar="N",
+                              help="same as --fleet processes --workers N")
+    campaign_run.add_argument("--fleet", choices=["processes", "remote"],
                               help="execute the inject phase on a fleet: "
-                                   "threads (GIL-bound baseline), processes "
-                                   "(true multi-core), or remote (workers "
-                                   "lease shards from a service daemon)")
+                                   "processes (the supervised local pool) or "
+                                   "remote (workers lease shards from a "
+                                   "service daemon)")
     campaign_run.add_argument("--workers", type=int, default=None, metavar="N",
                               help="fleet worker count (default: --jobs)")
     campaign_run.add_argument("--connect", metavar="HOST:PORT",

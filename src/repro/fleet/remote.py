@@ -26,7 +26,7 @@ functions requeue with bumped attempts (bounded by ``task_retries``).
 The coordinator additionally respawns its own dead local workers
 (budgeted) to keep throughput, but correctness never depends on it.
 Per-function deadlines are therefore lease-granular in this mode; use
-the process fleet for tight per-task deadlines.
+the ``processes`` mode for tight per-task deadlines.
 """
 
 from __future__ import annotations
@@ -46,6 +46,19 @@ COLLECT_INTERVAL = 0.05
 #: Local worker respawns allowed per fleet, as a multiple of the
 #: worker count — throughput insurance, not a correctness mechanism.
 RESPAWN_BUDGET = 3
+
+
+def task_result_from(result: FunctionResult) -> TaskResult:
+    """The scheduler-compatible view of one wire-format result."""
+    if result.ok:
+        return TaskResult(
+            result.function, "ok", payload=result.payload,
+            elapsed=result.elapsed, attempts=result.attempt,
+        )
+    return TaskResult(
+        result.function, "failed", error=result.error,
+        elapsed=result.elapsed, attempts=result.attempt,
+    )
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -76,7 +89,6 @@ def run_remote_fleet(
 ) -> dict[str, TaskResult]:
     """Run the campaign through a shard broker; see the module doc."""
     from repro.fleet import build_shards
-    from repro.fleet.process import task_result_from
     from repro.service.client import ServiceClient
 
     if not names:

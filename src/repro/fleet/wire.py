@@ -58,7 +58,7 @@ from repro.typelattice import LATTICE_VERSION
 WIRE_VERSION = 4
 
 #: The fleet modes ``campaign run --fleet`` accepts.
-FLEET_MODES = ("threads", "processes", "remote")
+FLEET_MODES = ("processes", "remote")
 
 
 class WireError(ValueError):

@@ -2,10 +2,13 @@
 
 :func:`execute_function` is the single execution path every fleet mode
 shares: re-seed from the campaign seed and the function name (exactly
-as the serial engine and the legacy pool do), run the injector, and
-serialize the report worker-side so only a JSON-able payload crosses
-the process or network boundary.  Bit-identical campaign output in
-every mode follows from this function being the only way work runs.
+as the serial engine does), run the injector, and serialize the report
+worker-side so only a JSON-able payload crosses the process or network
+boundary.  Bit-identical campaign output in every mode follows from
+this function being the only way work runs.  :func:`run_function`
+adapts it to the supervised pool of
+:func:`~repro.campaign.scheduler.run_tasks` (serial and ``processes``
+modes); :func:`execute_shard` runs it over a leased shard (``remote``).
 
 :func:`remote_worker_main` is the long-lived loop of a remote worker:
 register with the daemon (fingerprint-checked), lease shards, stream
@@ -13,31 +16,26 @@ per-function results back, heartbeat from a side thread so a lease
 held through a long injection never expires under a live worker.  It
 is spawn-safe: module-level, takes only picklable arguments.
 
-Chaos hook
-----------
-
-``REPRO_FLEET_CHAOS=kill-after:N`` makes a worker ``SIGKILL`` itself
-after completing N functions — the deterministic stand-in for
-``kill -9`` that the recovery tests and the CI fleet job use to prove
-reshard-and-retry without racing a real signal against the scheduler.
-The hook is read once per completion and does nothing when the
-variable is unset, so production paths never pay for it.
+The ``REPRO_FLEET_CHAOS`` hook (:data:`CHAOS_ENV`,
+:func:`maybe_chaos_exit`) lives next to the pool in
+:mod:`repro.campaign.scheduler`; remote workers honour it too.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import socket
 import threading
 import time
 from typing import Callable, Optional
 
-from repro.campaign.scheduler import reseed
+from repro.campaign.scheduler import (  # noqa: F401 - CHAOS_ENV re-exported
+    CHAOS_ENV,
+    current_attempt,
+    maybe_chaos_exit,
+    reseed,
+)
 from repro.fleet.wire import FunctionResult, ShardSpec, fleet_fingerprints
-
-#: Environment variable holding the chaos policy (``kill-after:N``).
-CHAOS_ENV = "REPRO_FLEET_CHAOS"
 
 #: How often an idle remote worker re-polls for work (seconds).
 DEFAULT_POLL_INTERVAL = 0.2
@@ -45,21 +43,6 @@ DEFAULT_POLL_INTERVAL = 0.2
 
 def default_worker_name() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
-
-
-def maybe_chaos_exit(completed: int) -> None:
-    """Honour ``REPRO_FLEET_CHAOS=kill-after:N``: after N completed
-    functions the worker SIGKILLs itself (no cleanup, no goodbye —
-    exactly what a kernel OOM kill or a ``kill -9`` looks like)."""
-    policy = os.environ.get(CHAOS_ENV, "")
-    if not policy.startswith("kill-after:"):
-        return
-    try:
-        threshold = int(policy.split(":", 1)[1])
-    except ValueError:
-        return
-    if completed >= threshold:
-        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def execute_function(
@@ -102,6 +85,26 @@ def execute_function(
         payload=payload,
         worker=worker,
     )
+
+
+def run_function(
+    name: str,
+    *,
+    digests: dict[str, str],
+    seed: int,
+    max_vectors: int,
+    fault_models: tuple[str, ...] = (),
+) -> dict:
+    """The :func:`~repro.campaign.scheduler.run_tasks` worker: one
+    function through :func:`execute_function`, returning its payload.
+    A failed result raises, so the pool retries it within its budget."""
+    result = execute_function(
+        name, digests[name], seed, max_vectors, current_attempt(),
+        fault_models=fault_models,
+    )
+    if not result.ok:
+        raise RuntimeError(result.error)
+    return result.payload
 
 
 def execute_shard(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 import time
 
 
@@ -39,3 +40,12 @@ def draw(name: str) -> dict:
     """Returns randomness drawn after the scheduler's per-task reseed,
     proving results do not depend on worker or completion order."""
     return {"name": name, "value": random.random()}
+
+
+def freeze(name: str) -> dict:
+    """Tasks named ``freeze*`` SIGSTOP their own worker process, which
+    silences its heartbeat thread too: the wedge the pool must police
+    even with no task deadline."""
+    if name.startswith("freeze"):
+        os.kill(os.getpid(), signal.SIGSTOP)
+    return {"name": name}

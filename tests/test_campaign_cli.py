@@ -78,6 +78,42 @@ class TestCampaignCommand:
         assert "unknown functions" in capsys.readouterr().err
 
 
+    def test_jobs_is_the_processes_fleet(self, tmp_path, capsys):
+        # --jobs N and --fleet processes --workers N are one mode: same
+        # label, same digests, and outcome stores byte-identical to a
+        # serial run.
+        functions = ["abs", "labs", "atoi"]
+        runs = {
+            "serial": [],
+            "jobs": ["--jobs", "2"],
+            "fleet": ["--fleet", "processes", "--workers", "2"],
+        }
+        docs, stores = {}, {}
+        for label, flags in runs.items():
+            cache = tmp_path / label
+            assert main(
+                ["campaign", "run", *functions, *flags,
+                 "--cache-dir", str(cache), "--json"]
+            ) == 0
+            docs[label] = json.loads(capsys.readouterr().out)
+            stores[label] = {
+                path.name: path.read_bytes()
+                for path in (cache / "outcomes").glob("*.json")
+            }
+        assert docs["serial"]["fleet_mode"] == "serial"
+        assert docs["jobs"]["fleet_mode"] == "processes"
+        assert docs["fleet"]["fleet_mode"] == "processes"
+        digests = {
+            label: {n: f["digest"] for n, f in doc["functions"].items()}
+            for label, doc in docs.items()
+        }
+        assert digests["jobs"] == digests["fleet"] == digests["serial"]
+        assert all(doc["ran"] == 3 and doc["failed"] == {}
+                   for doc in docs.values())
+        assert len(stores["serial"]) == 3
+        assert stores["jobs"] == stores["fleet"] == stores["serial"]
+
+
 class TestHardenCampaignFlags:
     def test_json_summary(self, tmp_path, capsys):
         assert main(

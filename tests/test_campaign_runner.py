@@ -49,6 +49,10 @@ class TestCampaignRunner:
         with pytest.raises(KeyError, match="no_such_fn"):
             CampaignRunner(["abs", "no_such_fn"])
 
+    def test_unknown_fleet_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown fleet mode"):
+            CampaignRunner(["abs"], CampaignConfig(fleet="threads"))
+
     def test_default_function_set(self):
         runner = CampaignRunner()
         assert [s.name for s in runner.specs] == [s.name for s in BALLISTA_SET]

@@ -1,5 +1,6 @@
-"""Tests for the process fleet: bit-identical merges, worker death
-(kill -9) recovery, deadlines, and retry budgets."""
+"""Tests for the ``processes`` fleet mode (the supervised pool):
+bit-identical merges, worker death (kill -9) recovery, deadlines, and
+retry budgets."""
 
 import multiprocessing as mp
 import time
@@ -8,7 +9,6 @@ import pytest
 
 from repro.campaign import CampaignConfig, CampaignRunner
 from repro.fleet import run_fleet
-from repro.fleet.process import run_process_fleet
 from repro.fleet.worker import CHAOS_ENV, execute_function
 from repro.fleet.wire import FunctionResult
 from repro.obs.telemetry import Telemetry
@@ -46,7 +46,7 @@ def run_fleet_payloads(telemetry=None, **overrides):
     options.update(overrides)
     if telemetry is not None:
         options["telemetry"] = telemetry
-    return run_process_fleet(FUNCTIONS, DIGESTS, **options)
+    return run_fleet("processes", FUNCTIONS, DIGESTS, **options)
 
 
 class TestBitIdentical:
@@ -63,8 +63,9 @@ class TestBitIdentical:
         assert {n: r.payload for n, r in results.items()} == serial_payloads
 
     def test_empty_campaign(self):
-        assert run_process_fleet(
-            [], {}, campaign="empty", workers=2, max_vectors=MAX_VECTORS
+        assert run_fleet(
+            "processes", [], {}, campaign="empty", workers=2,
+            max_vectors=MAX_VECTORS,
         ) == {}
 
     def test_unknown_mode_refused(self):
@@ -80,8 +81,8 @@ class TestWorkerDeath:
         self, serial_payloads, monkeypatch
     ):
         # Every worker SIGKILLs itself after one completed function —
-        # the campaign only finishes if reshard-and-retry keeps
-        # replacing the dead, and the merge must not notice.
+        # the campaign only finishes if the pool keeps replacing the
+        # dead, and the merge must not notice.
         monkeypatch.setenv(CHAOS_ENV, "kill-after:1")
         telemetry = Telemetry()
         results = run_fleet_payloads(telemetry=telemetry)
@@ -89,7 +90,6 @@ class TestWorkerDeath:
         assert all(r.ok for r in results.values())
         spawned = telemetry.counter("fleet.workers_spawned").value
         assert spawned > 2, f"only {spawned} workers spawned — nobody died?"
-        assert telemetry.counter("fleet.reshard_count").value >= 1
 
 
 @needs_fork
@@ -104,7 +104,7 @@ class TestDeadlinesAndRetries:
             )
 
         monkeypatch.setattr(
-            "repro.fleet.process.execute_function", fake_execute
+            "repro.fleet.worker.execute_function", fake_execute
         )
         telemetry = Telemetry()
         results = run_fleet_payloads(
@@ -127,7 +127,7 @@ class TestDeadlinesAndRetries:
             )
 
         monkeypatch.setattr(
-            "repro.fleet.process.execute_function", fake_execute
+            "repro.fleet.worker.execute_function", fake_execute
         )
         results = run_fleet_payloads(task_retries=1)
         assert results["abs"].ok
@@ -146,7 +146,7 @@ class TestDeadlinesAndRetries:
             )
 
         monkeypatch.setattr(
-            "repro.fleet.process.execute_function", fake_execute
+            "repro.fleet.worker.execute_function", fake_execute
         )
         results = run_fleet_payloads(task_retries=1)
         assert not results["abs"].ok
@@ -166,13 +166,3 @@ class TestCampaignIntegration:
         assert fleet.reports == serial.reports
         assert fleet.fleet_mode == "processes"
         assert serial.fleet_mode == "serial"
-
-    def test_thread_campaign_bit_identical_to_serial(self):
-        names = ["abs", "labs", "atoi"]
-        serial = CampaignRunner(names, CampaignConfig()).run()
-        fleet = CampaignRunner(
-            names, CampaignConfig(fleet="threads", workers=3)
-        ).run()
-        assert fleet.reports == serial.reports
-        assert fleet.fleet_mode == "threads"
-        assert fleet.workers == 3
