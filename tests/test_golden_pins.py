@@ -43,6 +43,31 @@ PAYLOADS = {
 #: rides in the payload).
 FOPEN_ALL_MODELS = "6a34a3b1635cc97274f674be519436575a5c1d87d83688642114ecd74f7e3a44"
 
+#: Payload shas of the models that read format strings, mode strings
+#: and element arrays: unarmed, then with every fault model armed.
+FORMAT_AND_ARRAY_PAYLOADS = {
+    "fprintf": (
+        "1e7d3e4940f2411ff49f5a6d443d9e905c4d63e6537603c1832fb483c352c0c9",
+        "1d49e74bc1889d4fd1876969921ce37c0b4cfb6e0af4743c06849f77646be15b",
+    ),
+    "freopen": (
+        "b102000cb99d9d13cddb686c530a8e49c09fca5cea4a403d66c38c84489b5035",
+        "fb63c31318034e3a34819302d86e76af023652a9306e52307bdb208d078df77c",
+    ),
+    "fscanf": (
+        "bbd1d106f1d6863e46bc1207efe183d8fad378b8ab6e7f311217d78531e42238",
+        "a8286229b40ec5ae144d4cf39daabe5ba8a8da73205abf9c11616077edafa062",
+    ),
+    "qsort": (
+        "52d0bc67d15b442b1ddb45fd2f0caae63c71e05b78114108b4e09014707cad56",
+        "afc6e9d29d95e44f3a0a5644badc154a010713162b4b742b690a912abef75b47",
+    ),
+    "strftime": (
+        "f143dfbbbab11130350137b7c338694be558736b852e153f481bcc84b3faf611",
+        "46900e4572404bd179da9ae15738b8a24e615a0a9a1f61bb80a03f6b13ca4caf",
+    ),
+}
+
 
 def _digest_sha(**kwargs) -> str:
     digests = [outcome_digest(spec, **kwargs) for spec in BALLISTA_SET]
@@ -83,3 +108,10 @@ def test_report_payload_bytes(name, plan):
 
 def test_faulted_report_payload_bytes():
     assert _payload_sha("fopen", fault_models=available_models()) == FOPEN_ALL_MODELS
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_AND_ARRAY_PAYLOADS))
+def test_format_and_array_payload_bytes(name):
+    unarmed, armed = FORMAT_AND_ARRAY_PAYLOADS[name]
+    assert _payload_sha(name) == unarmed
+    assert _payload_sha(name, fault_models=available_models()) == armed
