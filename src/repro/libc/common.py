@@ -47,13 +47,41 @@ def read_cstring(ctx: CallContext, address: int, limit: int | None = None) -> by
     byte (same fault address, same watchdog step count, Hang-before-
     fault ordering) but executed as one slice scan per region.
     """
-    payload, terminated, fault = ctx.mem.scan_cstring(address, limit)
+    payload, terminator, fault = ctx.mem.scan_cstring(address, limit)
     # The per-byte reference steps once per byte read, including the
     # terminating NUL and the step *preceding* a faulting load.
-    ctx.account(len(payload) + (1 if terminated or fault is not None else 0))
+    ctx.account(len(payload) + (1 if terminator or fault is not None else 0))
     if fault is not None:
         raise fault
     return payload
+
+
+def read_until(ctx: CallContext, address: int, stop: int) -> tuple[bytes, int]:
+    """Read through the first NUL or ``stop`` byte: ``(payload, end)``.
+
+    ``payload`` is the bytes before it and ``end`` is the byte that
+    ended the run (0 or ``stop``).  Observationally identical to a
+    :func:`read_byte` loop that breaks on either byte: one step per
+    byte read, the ending or faulting byte included, a Hang before a
+    fault, and an armed signal's handler run before the byte whose
+    step fires it is read — so a handler that writes the string is
+    seen from the same byte on.
+    """
+    fire_at = ctx.interrupt_at
+    limit = None if fire_at is None else max(0, fire_at - ctx.steps - 1)
+    payload, terminator, fault = ctx.mem.scan_cstring(address, limit, stop)
+    if not terminator and fault is None:  # stopped short of the signal
+        ctx.account(len(payload))
+        cursor = address + len(payload)
+        byte = read_byte(ctx, cursor)
+        if byte == 0 or byte == stop:
+            return payload, byte
+        rest, end = read_until(ctx, cursor + 1, stop)
+        return payload + bytes((byte,)) + rest, end
+    ctx.account(len(payload) + 1)
+    if fault is not None:
+        raise fault
+    return payload, terminator[0]
 
 
 def write_cstring(ctx: CallContext, address: int, value: bytes) -> None:

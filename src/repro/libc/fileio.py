@@ -126,14 +126,8 @@ def _parse_mode(ctx: CallContext, mode: int) -> int:
         ctx.set_errno(EINVAL)
         raise _ModeRejected()
     flags = {"r": READ, "w": WRITE | CREATE | TRUNC, "a": WRITE | CREATE | APPEND}[letter]
-    cursor = mode + 1
-    while True:
-        byte = common.read_byte(ctx, cursor)
-        if byte == 0:
-            break
-        if byte == ord("+"):
-            flags |= READ | WRITE
-        cursor += 1
+    if b"+" in common.read_cstring(ctx, mode + 1):
+        flags |= READ | WRITE
     return flags
 
 
@@ -527,13 +521,13 @@ def _format(ctx: CallContext, fmt: int, args: tuple) -> bytes:
         return b" " * (width - len(piece)) + piece
 
     while True:
-        byte = common.read_byte(ctx, cursor)
-        if byte == 0:
+        # Each run is read after the previous conversion ran, so a %n
+        # store into the format is seen, as it is byte by byte.
+        literal, end = common.read_until(ctx, cursor, ord("%"))
+        out += literal
+        if end == 0:
             break
-        cursor += 1
-        if byte != ord("%"):
-            out.append(byte)
-            continue
+        cursor += len(literal) + 1
         spec = common.read_byte(ctx, cursor)
         cursor += 1
         width = 0
@@ -613,12 +607,10 @@ def libc_fscanf(ctx: CallContext, fp: int, fmt: int, *args: int) -> int:
         return bytes(token)
 
     while True:
-        byte = common.read_byte(ctx, cursor)
-        if byte == 0:
+        literal, end = common.read_until(ctx, cursor, ord("%"))
+        if end == 0:
             break
-        cursor += 1
-        if byte != ord("%"):
-            continue
+        cursor += len(literal) + 1
         spec = common.read_byte(ctx, cursor)
         cursor += 1
         token = read_token()

@@ -283,8 +283,15 @@ def libc_qsort(ctx: CallContext, base: int, nmemb: int, size: int, compar: int) 
     if nmemb == 0 or size == 0:
         return
     # Read every element up front — undersized arrays fault here with
-    # the overrun address.
-    elements = [ctx.mem.load(base + i * size, size) for i in range(nmemb)]
+    # the overrun address.  The whole elements inside the first
+    # element's region load as one slice; the rest load one by one, so
+    # the first bad element faults where it would on its own.
+    whole = 0
+    if size > 0 and ctx.mem.is_readable(base, size):
+        whole = min(nmemb, (ctx.mem.region_at(base).end - base) // size)
+    block = ctx.mem.load(base, whole * size)
+    elements = [block[i * size : (i + 1) * size] for i in range(whole)]
+    elements += [ctx.mem.load(base + i * size, size) for i in range(whole, nmemb)]
     ctx.step(nmemb * size)
     scratch = ctx.heap.malloc(2 * size)
 

@@ -166,13 +166,11 @@ def libc_strftime(ctx: CallContext, s: int, maxsize: int, fmt: int, tm: int) -> 
     out = bytearray()
     cursor = fmt
     while True:
-        byte = common.read_byte(ctx, cursor)
-        if byte == 0:
+        literal, end = common.read_until(ctx, cursor, ord("%"))
+        out += literal
+        if end == 0:
             break
-        cursor += 1
-        if byte != ord("%"):
-            out.append(byte)
-            continue
+        cursor += len(literal) + 1
         spec = common.read_byte(ctx, cursor)
         cursor += 1
         if spec == ord("Y"):

@@ -74,10 +74,8 @@ class AddressSpace:
         #: Heap.free — so validity caches (the wrapper's revalidation
         #: cache) can be invalidated without subscribing to mutations.
         self.generation = 0
-        #: count of access *calls*, exposed for the performance benches
-        self.access_count = 0
-        #: bytes moved, so benches compare real work, not call counts
-        #: (a bulk load of 4 KiB is one call but 4096 bytes).
+        #: bytes moved, so benches compare real work whether it ran as
+        #: one bulk load or byte by byte.
         self.bytes_read = 0
         self.bytes_written = 0
 
@@ -196,7 +194,6 @@ class AddressSpace:
 
     def load(self, address: int, count: int) -> bytes:
         """Read ``count`` bytes, faulting on the first invalid byte."""
-        self.access_count += 1
         self.bytes_read += count
         if count == 0:
             return b""
@@ -205,7 +202,6 @@ class AddressSpace:
 
     def store(self, address: int, payload: bytes) -> None:
         """Write ``payload``, faulting on the first invalid byte."""
-        self.access_count += 1
         self.bytes_written += len(payload)
         if not payload:
             return
@@ -216,7 +212,6 @@ class AddressSpace:
         """One-byte load returning an ``int`` — no ``bytes`` object is
         allocated.  Identical semantics to ``load(address, 1)[0]``;
         this is the shape every per-byte libc model loop uses."""
-        self.access_count += 1
         self.bytes_read += 1
         if address == NULL:
             raise SegmentationFault(address, AccessKind.READ, "NULL dereference")
@@ -227,7 +222,6 @@ class AddressSpace:
 
     def store_byte(self, address: int, value: int) -> None:
         """One-byte store twin of :meth:`load_byte`."""
-        self.access_count += 1
         self.bytes_written += 1
         if address == NULL:
             raise SegmentationFault(address, AccessKind.WRITE, "NULL dereference")
@@ -319,16 +313,19 @@ class AddressSpace:
     # C string helpers (bulk fast paths)
     # ------------------------------------------------------------------
     def scan_cstring(
-        self, address: int, limit: int | None = None
-    ) -> tuple[bytes, bool, Optional[SegmentationFault]]:
-        """Core NUL scan: ``(payload, terminated, fault)``.
+        self, address: int, limit: int | None = None, stop: int | None = None
+    ) -> tuple[bytes, bytes, Optional[SegmentationFault]]:
+        """Core NUL scan: ``(payload, terminator, fault)``.
 
         Scans with ``bytes.find(0)`` over whole region slices instead
         of one bounds-checked load per byte, while reproducing the
         per-byte reference semantics bit for bit:
 
         * ``payload`` is the bytes before the terminator / limit / fault;
-        * ``terminated`` is True when a NUL was actually read;
+        * ``terminator`` is the byte that ended the scan — ``b"\\x00"``,
+          or ``bytes([stop])`` when a ``stop`` byte is given and comes
+          first — or ``b""`` when the limit or a fault ended it, so it
+          is truthy exactly when a terminator was actually read;
         * ``fault`` (not raised here) is exactly the
           :class:`SegmentationFault` a byte-by-byte ``strlen`` would
           raise after successfully reading ``len(payload)`` bytes —
@@ -344,35 +341,38 @@ class AddressSpace:
         remaining = limit
         while remaining is None or remaining > 0:
             if cursor == NULL:
-                return bytes(out), False, SegmentationFault(
+                return bytes(out), b"", SegmentationFault(
                     cursor, AccessKind.READ, "NULL dereference"
                 )
             region = self.region_at(cursor)
             if region is None:
-                return bytes(out), False, SegmentationFault(
+                return bytes(out), b"", SegmentationFault(
                     cursor, AccessKind.READ, "unmapped address"
                 )
             try:
                 region.check_access(cursor, 1, AccessKind.READ)
             except SegmentationFault as fault:
-                return bytes(out), False, fault
+                return bytes(out), b"", fault
             offset = cursor - region.base
             window_end = region.size
             if remaining is not None:
                 window_end = min(window_end, offset + remaining)
-            nul = region.data.find(0, offset, window_end)
-            self.access_count += 1
-            if nul >= 0:
-                out += region.data[offset:nul]
-                self.bytes_read += nul - offset + 1
-                return bytes(out), True, None
+            end = region.data.find(0, offset, window_end)
+            if stop is not None:
+                hit = region.data.find(stop, offset, window_end if end < 0 else end)
+                if hit >= 0:
+                    end = hit
+            if end >= 0:
+                out += region.data[offset:end]
+                self.bytes_read += end - offset + 1
+                return bytes(out), bytes(region.data[end : end + 1]), None
             out += region.data[offset:window_end]
             consumed = window_end - offset
             self.bytes_read += consumed
             cursor += consumed
             if remaining is not None:
                 remaining -= consumed
-        return bytes(out), False, None
+        return bytes(out), b"", None
 
     def scan_window(
         self, address: int, count: int, access: AccessKind = AccessKind.READ
@@ -405,7 +405,6 @@ class AddressSpace:
             take = min(region.end - cursor, remaining)
             offset = cursor - region.base
             out += region.data[offset : offset + take]
-            self.access_count += 1
             self.bytes_read += take
             cursor += take
             remaining -= take
@@ -458,7 +457,6 @@ class AddressSpace:
                 region._own_data()
             offset = cursor - region.base
             region.data[offset : offset + take] = payload[written : written + take]
-            self.access_count += 1
             self.bytes_written += take
             written += take
             cursor += take

@@ -61,10 +61,10 @@ def read_cstring_ref(
 
 
 def scan_cstring_ref(
-    space: AddressSpace, address: int, limit: int | None = None
-) -> tuple[bytes, bool, Optional[SegmentationFault]]:
+    space: AddressSpace, address: int, limit: int | None = None, stop: int | None = None
+) -> tuple[bytes, bytes, Optional[SegmentationFault]]:
     """Per-byte scan reported in the ``scan_cstring`` result shape, so
-    the fuzz test can compare payload, termination and fault fields
+    the fuzz test can compare payload, terminator and fault fields
     directly against the fast path."""
     out = bytearray()
     cursor = address
@@ -72,12 +72,12 @@ def scan_cstring_ref(
         try:
             byte = space.load(cursor, 1)[0]
         except SegmentationFault as fault:
-            return bytes(out), False, fault
-        if byte == 0:
-            return bytes(out), True, None
+            return bytes(out), b"", fault
+        if byte == 0 or byte == stop:
+            return bytes(out), bytes([byte]), None
         out.append(byte)
         cursor += 1
-    return bytes(out), False, None
+    return bytes(out), b"", None
 
 
 def write_cstring_ref(space: AddressSpace, address: int, value: bytes) -> None:

@@ -44,7 +44,13 @@ class CallContext:
         kernel: shortcut for ``runtime.kernel``.
         steps: simulated work performed so far in this call.
         errno_set: whether the callee wrote errno during this call.
+        interrupt_at: the step count at which an armed simulated signal
+            fires, or None; bulk readers stop short of it so its
+            handler runs between the same two byte reads as it would
+            under per-byte stepping.
     """
+
+    interrupt_at: int | None = None
 
     def __init__(self, runtime: Any, step_budget: int = 1_000_000) -> None:
         self.runtime = runtime
@@ -128,6 +134,10 @@ class InterruptibleContext(CallContext):
         super().__init__(runtime, step_budget)
         self.interrupt = plan
         self.interrupted = False
+
+    @property
+    def interrupt_at(self) -> int | None:
+        return None if self.interrupted else self.interrupt.offset
 
     def _maybe_fire(self) -> None:
         if not self.interrupted and self.steps >= self.interrupt.offset:

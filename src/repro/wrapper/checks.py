@@ -176,7 +176,7 @@ class CheckLibrary:
                 return index if index >= 0 else None
         # Non-heap memory: bulk NUL scan over whole region slices (the
         # PR-4 fast path) instead of one bounds-checked load per byte.
-        # ``terminated`` is True only when a NUL was actually read
+        # ``terminated`` is non-empty only when a NUL was actually read
         # before the cap / a fault, so misses (unreadable byte, string
         # longer than MAX_STRING_SCAN) return None exactly as the
         # byte-at-a-time loop did.
