@@ -11,12 +11,12 @@ The request path for anything needing an
 :class:`~repro.injector.InjectionReport` is always::
 
     digest = outcome_digest(spec)          # content address (cached)
-    memo hit?       -> the decoded report, no store read, no decode
+    memo hit?       -> the memoized report, no store read, no decode
     store hit?      -> decode once, memoize, zero sandbox work
     store miss or
     undecodable?    -> single-flight by digest -> worker pool injection
-                       -> persist to the store -> every waiter shares it
-                       -> decode, memoize
+                       -> persist the payload to the store
+                       -> every waiter shares the fresh report, memoize
 
 so a warm cache answers without touching the sandbox or the disk, and
 N identical concurrent requests cost exactly one injection.  The memo
@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.campaign.digest import outcome_digest
-from repro.campaign.store import OutcomeStore, report_from_payload, report_to_payload
+from repro.campaign.store import OutcomeStore, report_to_payload
 from repro.cdecl import DeclarationParser, typedef_table
 from repro.fleet.broker import DEFAULT_LEASE_TTL, BrokerError, ShardBroker
 from repro.fleet.wire import FunctionResult, ShardSpec, WireError
@@ -49,7 +49,7 @@ from repro.service.protocol import PROTOCOL_VERSION, ErrorCode, ServiceError
 from repro.service.singleflight import SingleFlight
 
 #: Bound on :attr:`ServiceState._reports`, the per-digest memo of
-#: decoded reports; it is cleared when full, so a client cycling
+#: reports; it is cleared when full, so a client cycling
 #: through many fault-model sets cannot grow memory without limit.
 _REPORT_MEMO_LIMIT = 256
 
@@ -59,15 +59,15 @@ def _run_injection(
     telemetry=NULL_TELEMETRY,
     max_vectors: int = MAX_VECTORS,
     fault_models: tuple[str, ...] = (),
-) -> dict:
+) -> tuple[InjectionReport, dict]:
     """Run one function's injector in the calling (worker) thread and
-    return the JSON-stable outcome payload."""
+    return the report with its JSON-stable outcome payload."""
     spec = BY_NAME[name]
     report = FaultInjector(
         spec, max_vectors=max_vectors, telemetry=telemetry,
         fault_models=fault_models,
     ).run()
-    return report_to_payload(report, spec.prototype)
+    return report, report_to_payload(report, spec.prototype)
 
 
 class ServiceState:
@@ -170,9 +170,9 @@ class ServiceState:
                 return report, "cache"
             self.telemetry.counter("service.cache", result="miss").inc()
 
-        async def factory() -> dict:
+        async def factory() -> tuple[InjectionReport, dict]:
             loop = asyncio.get_running_loop()
-            payload = await loop.run_in_executor(
+            report, payload = await loop.run_in_executor(
                 self.executor,
                 functools.partial(
                     _run_injection, name, self.telemetry, self.max_vectors,
@@ -181,10 +181,11 @@ class ServiceState:
             )
             if self.store is not None:
                 self.store.put_payload(digest, payload)
-            return payload
+            return report, payload
 
-        payload = await self.singleflight.run(digest, factory)
-        report = report_from_payload(payload, self.parser)
+        # The fresh report equals a decode of the payload just stored,
+        # so waiters share it instead of decoding the payload back.
+        report, _ = await self.singleflight.run(digest, factory)
         if self.store is not None:
             self._memoize(digest, report)
         return report, "injected"

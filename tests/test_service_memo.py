@@ -1,4 +1,4 @@
-"""The daemon's per-digest memo of decoded reports, and stored payloads
+"""The daemon's per-digest memo of reports, and stored payloads
 that do not decode.
 
 A warm request is answered from :attr:`ServiceState._reports` without
@@ -70,7 +70,7 @@ class TestMemo:
     def test_warm_requests_read_neither_store_nor_decoder(self, state, monkeypatch):
         cold = _calls(state, WARM_REQUESTS)
         reads, decodes = [], []
-        real_get, real_decode = OutcomeStore.get_payload, handlers_mod.report_from_payload
+        real_get, real_decode = OutcomeStore.get_payload, store_mod.report_from_payload
 
         def counting_get(self, digest):
             reads.append(digest)
@@ -81,7 +81,6 @@ class TestMemo:
             return real_decode(payload, parser)
 
         monkeypatch.setattr(OutcomeStore, "get_payload", counting_get)
-        monkeypatch.setattr(handlers_mod, "report_from_payload", counting_decode)
         monkeypatch.setattr(store_mod, "report_from_payload", counting_decode)
         for _ in range(3):
             warm = _calls(state, WARM_REQUESTS)
@@ -98,6 +97,22 @@ class TestMemo:
                     after = dict(after, wrapper=before["wrapper"])
                 assert after == before, op
         assert reads == [] and decodes == []
+
+    def test_injected_report_is_shared_without_a_decode(self, state, monkeypatch):
+        real_decode = store_mod.report_from_payload
+        decodes = []
+
+        def counting_decode(payload, parser=None):
+            decodes.append(payload["name"])
+            return real_decode(payload, parser)
+
+        monkeypatch.setattr(store_mod, "report_from_payload", counting_decode)
+        row = _call(state, "inject", {"function": "fopen", "fault_models": ["resource"]})
+        assert row["source"] == "injected"
+        assert decodes == []
+        shared = state._reports[row["digest"]]
+        stored = state.store.get_payload(row["digest"])
+        assert shared == real_decode(stored, state.parser)
 
     def test_fault_models_key_separate_reports(self, state):
         rows = _calls(
