@@ -38,6 +38,14 @@ DEFAULT_BASELINE = 3
 #: headroom for timing noise.
 DEFAULT_REGRESS_RATIO = 1.5
 
+#: Absolute noise floor of timing series (``*seconds*`` in seconds,
+#: ``*_ms`` in milliseconds): a latest value within this many seconds
+#: of its baseline is ``ok`` whatever the ratio.  A one-function
+#: campaign's ``inject_seconds`` moves from 1.6 to 4.2 ms between
+#: identical runs on a shared host, and a gen-2 collection alone costs
+#: about 15 ms.
+TIMING_NOISE_FLOOR_SECONDS = 0.02
+
 #: Substrings marking a metric where *bigger is worse*.
 LOWER_IS_BETTER = (
     "seconds", "_ms", "_ns", "_pct", "overhead", "latency",
@@ -59,6 +67,16 @@ def metric_direction(metric: str) -> Optional[str]:
         return "higher"
     if any(token in name for token in LOWER_IS_BETTER):
         return "lower"
+    return None
+
+
+def _timing_floor(metric: str) -> Optional[float]:
+    """The noise floor of a timing metric in its own unit, or None."""
+    name = metric.lower()
+    if "seconds" in name:
+        return TIMING_NOISE_FLOOR_SECONDS
+    if "_ms" in name:
+        return TIMING_NOISE_FLOOR_SECONDS * 1e3
     return None
 
 
@@ -162,6 +180,7 @@ class RegressionReport:
 
 def _metric_verdict(
     name: str,
+    metric: str,
     direction: str,
     points: list[dict],
     baseline: int,
@@ -175,6 +194,10 @@ def _metric_verdict(
     if max(abs(latest), abs(mean)) < min_value:
         return Verdict(name, "ok", direction, latest, mean, None,
                        len(values), "below noise floor")
+    floor = _timing_floor(metric)
+    if floor is not None and abs(latest - mean) < floor:
+        return Verdict(name, "ok", direction, latest, mean, None,
+                       len(values), "within timing noise floor")
     if mean <= 0.0 or latest <= 0.0:
         # A zero crossing cannot be expressed as a ratio: a metric
         # that was zero and now is not (or vice versa) is a real
@@ -266,7 +289,8 @@ def check_regressions(
             continue
         report.verdicts.append(
             _metric_verdict(
-                name, direction, points, baseline, regress_ratio, min_value
+                name, metric, direction, points, baseline, regress_ratio,
+                min_value,
             )
         )
     report.verdicts.extend(_campaign_flips(ledger))

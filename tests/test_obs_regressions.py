@@ -105,6 +105,28 @@ class TestVerdicts:
         assert report.verdicts[0].verdict == "ok"
         assert "noise" in report.verdicts[0].detail
 
+    def test_millisecond_timing_jitter_is_within_the_floor(self, tmp_path):
+        # Two identical one-function campaigns: 1.6 ms then 4.2 ms.
+        ledger = Ledger(tmp_path / "l.sqlite", clock=fake_clock())
+        seed_series(ledger, [0.0016, 0.0042], metric="inject_seconds")
+        report = check_regressions(ledger)
+        assert report.ok
+        assert report.verdicts[0].verdict == "ok"
+        assert "timing noise" in report.verdicts[0].detail
+
+    def test_timing_floor_scales_with_the_unit(self, tmp_path):
+        ledger = Ledger(tmp_path / "l.sqlite", clock=fake_clock())
+        seed_series(ledger, [1.6, 4.2], metric="inject_seconds")
+        seed_series(ledger, [1.6, 4.2], metric="p99_ms", bench="svc")
+        seed_series(ledger, [16.0, 42.0], metric="p50_ms", bench="svc")
+        report = check_regressions(ledger)
+        verdicts = {v.metric: v.verdict for v in report.verdicts}
+        assert verdicts == {
+            "b/inject_seconds": "regressed",
+            "svc/p99_ms": "ok",
+            "svc/p50_ms": "regressed",
+        }
+
     def test_zero_crossing_is_a_real_change(self, tmp_path):
         ledger = Ledger(tmp_path / "l.sqlite", clock=fake_clock())
         seed_series(ledger, [0.0, 0.0, 3.0], metric="crashes_total_pct")
