@@ -205,10 +205,14 @@ class Lattice:
 
     def weakest(self, candidates: Iterable[TypeInstance]) -> list[TypeInstance]:
         """Maximal elements (weakest = largest value sets) among
-        ``candidates``."""
+        ``candidates``; on a cycle, its whole equivalence class (see
+        :meth:`beaten_at`)."""
         pool = list(candidates)
         pool_mask = self.mask_of(pool)
-        return [t for t in pool if not self._strict_up_of(t) & pool_mask]
+        return [
+            t for t in pool
+            if t not in self._index or not self.beaten_at(self._index[t], pool_mask)
+        ]
 
     def strongest(self, candidates: Iterable[TypeInstance]) -> list[TypeInstance]:
         """Minimal elements among ``candidates``."""
@@ -237,9 +241,16 @@ class Lattice:
         i = self._index.get(instance)
         return 0 if i is None else self._strict_up[i] | 1 << i
 
-    def strict_up_at(self, index: int) -> int:
-        """Mask of the strict supertypes of the instance at ``index``."""
-        return self._strict_up[index]
+    def beaten_at(self, index: int, pool: int) -> bool:
+        """Whether a member of the ``pool`` mask lies strictly above the
+        instance at ``index`` without also lying below it.  An extension
+        rule may close a cycle; its members are then equivalent and beat
+        none of each other, so a topmost cycle keeps weakest members."""
+        bit = 1 << index
+        return any(
+            not self._strict_up[j] & bit
+            for j in iter_bits(self._strict_up[index] & pool)
+        )
 
     def _strict_up_of(self, instance: TypeInstance) -> int:
         i = self._index.get(instance)

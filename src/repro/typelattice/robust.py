@@ -209,8 +209,7 @@ def _select(
             if count == best_crashes:
                 leanest |= 1 << index
     weakest = [
-        index for index in iter_bits(leanest)
-        if not lattice.strict_up_at(index) & leanest
+        index for index in iter_bits(leanest) if not lattice.beaten_at(index, leanest)
     ]
     if len(weakest) == 1:
         return lattice.instances[weakest[0]]

@@ -70,9 +70,16 @@ class ReferenceOrder:
         return {f for f in fundamentals if self.is_subtype(f, unified)}
 
     def weakest(self, candidates: Iterable[TypeInstance]) -> list[TypeInstance]:
+        """Candidates no other candidate lies strictly above without also
+        lying below (the members of a topmost cycle are all weakest)."""
         pool = list(candidates)
         return [
-            t for t in pool if not any(self.is_strict_subtype(t, other) for other in pool)
+            t
+            for t in pool
+            if not any(
+                self.is_strict_subtype(t, other) and not self.is_subtype(other, t)
+                for other in pool
+            )
         ]
 
     def strongest(self, candidates: Iterable[TypeInstance]) -> list[TypeInstance]:

@@ -131,12 +131,12 @@ def _pool(lattice: Lattice) -> list[TypeInstance]:
 
 def _outcome(compute, *args, **kwargs):
     """The result, or the type of the exception raised.  ValueError:
-    no observations, or no common supertype of the successes.
-    IndexError: a cycle holds every least-crashing candidate, so none
-    is weakest (both forms fail alike there)."""
+    no observations, or no common supertype of the successes.  A cycle
+    holding every least-crashing candidate yields a result, which must
+    be equal."""
     try:
         return compute(*args, **kwargs)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         return type(exc)
 
 
@@ -251,3 +251,20 @@ def test_robust_vector_matches_reference(setup, arity, data):
             conservative,
         )
         assert actual == expected
+
+
+def test_cycle_holding_every_least_crashing_candidate():
+    # EXT_C <= EXT_A and the cycle EXT_A <= EXT_B <= EXT_A: every
+    # feasible candidate has a strict supertype among the others, so
+    # only the cycle's equivalence class can be weakest.
+    ext_a, ext_b = TypeInstance("EXT_A", family="ext"), TypeInstance("EXT_B", family="ext")
+    ext_c = TypeInstance("EXT_C", fundamental=True, family="ext")
+    observations = [Observation(ext_c, TestResult.SUCCESS, True)]
+    extension = ((ext_a, ext_b, ext_c), {("EXT_C", "EXT_A"): _always}, _CYCLES[0])
+    with _registered(extension):
+        lattice = Lattice.for_sizes({8})
+        assert lattice.weakest([ext_a, ext_b, ext_c]) == [ext_a, ext_b]
+        actual = compute_robust_type(observations, lattice=lattice)
+        expected = reference_robust_type(observations, ReferenceOrder(lattice.instances))
+    assert actual == expected
+    assert actual.robust == ext_a  # the class tie breaks on the name
