@@ -38,6 +38,12 @@ _PROTS = {
 budgets = st.one_of(st.integers(0, 120), st.just(FULL_BUDGET))
 
 
+def _alphabet(symbols: bytes, max_size: int = 24):
+    return st.binary(max_size=max_size).map(
+        lambda raw: bytes(symbols[b % len(symbols)] for b in raw)
+    )
+
+
 def _map_adjacent(runtime: LibcRuntime, previous, payload: bytes):
     """Map ``payload`` starting exactly at ``previous.end``: no guard gap,
     so a scan or an element can run from one mapping into the next."""
@@ -58,7 +64,7 @@ def _map_adjacent(runtime: LibcRuntime, previous, payload: bytes):
 
 region_specs = st.lists(
     st.tuples(
-        st.binary(max_size=24).map(lambda raw: bytes(b"AAAAAA%+\x00\xa5"[b % 10] for b in raw)),
+        _alphabet(b"AAAAAA%+\x00\xa5"),
         st.sampled_from(["rw", "rw", "ro", "wo", "none"]),
         st.sampled_from([False, False, False, True]),  # freed
         st.booleans(),  # adjacent to the previous region
@@ -82,7 +88,7 @@ def _layout(specs) -> tuple[LibcRuntime, list]:
     return runtime, regions
 
 
-def _read(reader, runtime: LibcRuntime, address: int, stop: int, budget: int, signal):
+def _read(reader, runtime: LibcRuntime, address: int, stop: int, budget: int, signal=None):
     target = runtime.fork()
     if signal is None:
         ctx = CallContext(target, budget)
@@ -128,14 +134,14 @@ def _address(regions, pick) -> int:
 def test_read_until_matches_byte_loop(specs, pick, stop, budget):
     runtime, regions = _layout(specs)
     address = _address(regions, pick)
-    fast = _read(common.read_until, runtime, address, stop, budget, None)
-    slow = _read(libc_reference.read_until, runtime, address, stop, budget, None)
+    fast = _read(common.read_until, runtime, address, stop, budget)
+    slow = _read(libc_reference.read_until, runtime, address, stop, budget)
     assert fast == slow
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    content=st.binary(max_size=16).map(lambda raw: bytes(b"AAAAA%"[b % 6] for b in raw)),
+    content=_alphabet(b"AAAAA%", max_size=16),
     terminated=st.booleans(),
     offset=st.integers(1, 18),
     distance=st.integers(0, 18),
@@ -262,12 +268,6 @@ def _compare(name: str, base: LibcRuntime, args, budget: int, signal) -> None:
         outcome = Sandbox(step_budget=budget).call(model, args, runtime)
         results.append((_outcome_key(outcome), _snapshot(runtime)))
     assert results[0] == results[1]
-
-
-def _alphabet(symbols: bytes, max_size: int = 24):
-    return st.binary(max_size=max_size).map(
-        lambda raw: bytes(symbols[b % len(symbols)] for b in raw)
-    )
 
 
 placements = st.sampled_from(PLACEMENTS)
