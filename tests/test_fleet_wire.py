@@ -1,5 +1,6 @@
 """Tests for the fleet wire format (shard/result serialization)."""
 
+import hashlib
 import json
 import pickle
 
@@ -163,3 +164,46 @@ class TestBuildShards:
                 digests[n] for n in shard.functions
             ]
             shard.verify_local()
+
+
+# ----------------------------------------------------------------------
+# wire-byte pins: refactors of run-identity threading must leave the
+# encoded shard bytes unchanged; a deliberate wire change updates these
+# in the same commit and says why.
+# ----------------------------------------------------------------------
+
+#: Fixed fingerprints, so the pins track the wire layout and not the
+#: lattice, planner or fault-subsystem versions.
+PINNED_FINGERPRINTS = {
+    "schema": 1, "lattice": "pin", "plan": 1, "memo": "pin", "faults": 1,
+}
+
+#: sha256 of the canonical encoding; ShardSpec.digest() must equal it.
+WIRE_PINS = {
+    "unarmed": "8352672b812da6790f9306e127f462f17ee3e437b9cfb61bc9e60833c2500e22",
+    "resource": "43cfc10ac6d9ec68e6828106d1eaf5aff143f87bdb42c8d5e76681e3660c9046",
+}
+
+
+def _pinned_shard(fault_models):
+    return ShardSpec.build(
+        shard_id="pin/0",
+        campaign="pin",
+        seed=0,
+        max_vectors=1200,
+        functions=["strcpy", "fopen"],
+        digests=["d-strcpy", "d-fopen"],
+        attempts=[1, 2],
+        fingerprints=PINNED_FINGERPRINTS,
+        fault_models=fault_models,
+    )
+
+
+@pytest.mark.parametrize(
+    "label, fault_models", [("unarmed", ()), ("resource", ("resource",))]
+)
+def test_wire_bytes_pinned(label, fault_models):
+    shard = _pinned_shard(fault_models)
+    canonical = json.dumps(shard.encode(), sort_keys=True, separators=(",", ":"))
+    encoded = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    assert encoded == shard.digest() == WIRE_PINS[label]
