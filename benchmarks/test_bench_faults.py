@@ -23,6 +23,7 @@ from pathlib import Path
 
 from repro.campaign import CampaignConfig, CampaignRunner
 from repro.faults import available_models
+from repro.injector import RunSpec
 from repro.obs import export_bench_json
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_faults.json"
@@ -39,8 +40,7 @@ def _timed(tmp_path, leg, fault_models=()):
         BASELINE_FUNCTIONS,
         CampaignConfig(
             cache_dir=tmp_path / leg,
-            max_vectors=MAX_VECTORS,
-            fault_models=tuple(fault_models),
+            run=RunSpec(MAX_VECTORS, fault_models),
         ),
     )
     started = time.perf_counter()

@@ -122,10 +122,10 @@ def test_identical_requests_single_flight(tmp_path, monkeypatch):
     real = handlers_mod._run_injection
     runs: list[str] = []
 
-    def counting(name, telemetry=None, max_vectors=1200):
+    def counting(name, *args, **kwargs):
         runs.append(name)
         time.sleep(0.3)  # keep the flight open until all waiters join
-        return real(name, telemetry, max_vectors)
+        return real(name, *args, **kwargs)
 
     monkeypatch.setattr(handlers_mod, "_run_injection", counting)
     waiters = 24
@@ -168,10 +168,10 @@ def test_overload_sheds_with_retry_later(tmp_path, monkeypatch):
     release = threading.Event()
     real = handlers_mod._run_injection
 
-    def hung(name, telemetry=None, max_vectors=1200):
+    def hung(name, *args, **kwargs):
         if not release.wait(timeout=30):
             raise TimeoutError("bench never released the hung injection")
-        return real(name, telemetry, max_vectors)
+        return real(name, *args, **kwargs)
 
     monkeypatch.setattr(handlers_mod, "_run_injection", hung)
     handle = serve_in_thread(

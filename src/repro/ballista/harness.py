@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.ballista.pools import PoolValue, pool_for
 from repro.cdecl import DeclarationParser, typedef_table
-from repro.faults.model import FaultModelsSpec, resolve_fault_models
+from repro.injector import RunSpec
 from repro.libc.catalog import BALLISTA_SET, BY_NAME, FunctionSpec
 from repro.libc.runtime import LibcRuntime, standard_runtime
 from repro.obs.telemetry import NULL_TELEMETRY
@@ -178,7 +178,7 @@ class BallistaHarness:
         configuration: str = "unwrapped",
         step_budget: int = 1_000_000,
         jobs: int = 1,
-        fault_models: FaultModelsSpec = (),
+        run: RunSpec = RunSpec(),
     ) -> BallistaReport:
         """Execute every test; each runs in a fork of a base runtime.
 
@@ -192,12 +192,12 @@ class BallistaHarness:
         back to serial execution (a ``ballista.serial_fallback``
         telemetry event names the reason).
 
-        ``fault_models`` (see :mod:`repro.faults`) arms one scenario
+        The run's fault models (see :mod:`repro.faults`) arm one scenario
         per test, cycling through each function's scenario list in
         deterministic test order — the environmental-fault variant of
         the sweep.  Armed sweeps always run serially.
         """
-        models = resolve_fault_models(fault_models)
+        models = run.models()
         if jobs > 1:
             blocker = self._sharding_blocker(wrapper)
             if models:

@@ -13,20 +13,24 @@ covers every input of one per-function injection campaign:
    template, reordering a sweep, or changing a size invalidates;
 3. the **lattice version** — :data:`repro.typelattice.LATTICE_VERSION`
    is bumped whenever the type hierarchy changes;
-4. the **injector caps** — ``max_vectors`` and ``MAX_RETRIES`` bound
-   vector enumeration and the adaptive retry loop;
+4. the **injector caps** — the run's ``max_vectors`` and
+   ``MAX_RETRIES`` bound vector enumeration and the adaptive retry
+   loop;
 5. the **planner fingerprint** — the vector-planning engine's
    :data:`~repro.injector.PLAN_VERSION` and
    :data:`~repro.injector.MEMO_POLICY`: a change to plan compilation
    or to the memoization soundness policy reschedules or re-dedups
    the experiment, so cached outcomes must be recomputed;
-6. the **armed fault models** — when a campaign runs with
-   ``fault_models``, the :func:`repro.faults.faults_fingerprint`
-   block (model names, versions, parameters, scenario sampling cap)
-   joins the document, so faulted and unfaulted outcomes — and
-   outcomes under different model parameters — never alias.  An
-   empty model set adds nothing, keeping every pre-existing digest
-   stable.
+6. the **armed fault models** — when the run arms fault models, the
+   :func:`repro.faults.faults_fingerprint` block (model names,
+   versions, parameters, scenario sampling cap) joins the document,
+   so faulted and unfaulted outcomes — and outcomes under different
+   model parameters — never alias.  An empty model set adds nothing,
+   keeping every pre-existing digest stable.
+
+Items 4 and 6 are the run's block (:meth:`repro.injector.RunSpec.
+digest_block`): the injector reads the same :class:`RunSpec` the
+digest is computed from.
 
 Digests are sha256 over a canonical JSON encoding; two campaign runs
 agree on a function's digest iff they would run the identical
@@ -40,9 +44,8 @@ import json
 from typing import Optional
 
 from repro.cdecl import DeclarationParser, typedef_table
-from repro.faults.model import FaultModelsSpec, faults_fingerprint, resolve_fault_models
 from repro.generators.select import generators_for
-from repro.injector import MAX_RETRIES, MAX_VECTORS, MEMO_POLICY, PLAN_VERSION
+from repro.injector import MEMO_POLICY, PLAN_VERSION, RunSpec
 from repro.libc.catalog import FunctionSpec
 from repro.typelattice import LATTICE_VERSION
 
@@ -88,11 +91,9 @@ def generator_fingerprint(
 
 def outcome_digest(
     spec: FunctionSpec,
-    max_vectors: int = MAX_VECTORS,
-    max_retries: int = MAX_RETRIES,
+    run: RunSpec = RunSpec(),
     lattice_version: str = LATTICE_VERSION,
     parser: Optional[DeclarationParser] = None,
-    fault_models: FaultModelsSpec = (),
 ) -> str:
     """The content address of one function's injection outcome."""
     document = {
@@ -100,14 +101,9 @@ def outcome_digest(
         "spec": spec_fingerprint(spec),
         "generators": generator_fingerprint(spec, parser),
         "lattice": lattice_version,
-        "caps": {"max_vectors": max_vectors, "max_retries": max_retries},
         "planner": {"version": PLAN_VERSION, "memo": MEMO_POLICY},
+        **run.digest_block(),
     }
-    models = resolve_fault_models(fault_models)
-    if models:
-        # Only added when armed: the no-fault digest must stay
-        # byte-identical to digests minted before this key existed.
-        document["faults"] = faults_fingerprint(models)
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

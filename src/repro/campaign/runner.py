@@ -30,7 +30,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -45,8 +45,7 @@ from repro.campaign.scheduler import (
 )
 from repro.campaign.store import OutcomeStore, report_from_payload, report_to_payload
 from repro.cdecl import DeclarationParser, typedef_table
-from repro.faults.model import canonical_fault_specs
-from repro.injector import FaultInjector, InjectionReport, MAX_VECTORS
+from repro.injector import FaultInjector, InjectionReport, RunSpec
 from repro.libc.catalog import BY_NAME, FunctionSpec
 from repro.obs.telemetry import NULL_TELEMETRY
 
@@ -68,7 +67,9 @@ class CampaignConfig:
     timeout: Optional[float] = DEFAULT_TASK_TIMEOUT
     task_retries: int = DEFAULT_TASK_RETRIES
     seed: int = 0
-    max_vectors: int = MAX_VECTORS
+    #: The vector cap and armed fault models every function runs
+    #: under; its digest block keys the outcome store.
+    run: RunSpec = RunSpec()
     #: When set, the finished campaign is ingested into this results
     #: ledger (``repro.obs.ledger``) at finalize time.
     ledger: Optional[Path] = None
@@ -81,11 +82,6 @@ class CampaignConfig:
     #: ``HOST:PORT`` of an already-running daemon for the remote fleet;
     #: None self-hosts a loopback daemon for the campaign's duration.
     fleet_address: Optional[str] = None
-    #: Armed fault models as canonical spec strings (see
-    #: ``repro.faults``); kept as strings so the config stays frozen,
-    #: hashable, and picklable across the fleet boundary.  Use
-    #: :func:`repro.faults.canonical_fault_specs` to normalize.
-    fault_models: tuple[str, ...] = ()
 
 
 @dataclass
@@ -113,8 +109,8 @@ class CampaignResult:
     fleet_mode: str = "serial"
     #: Effective worker count of the inject phase.
     workers: int = 1
-    #: Canonical spec strings of the fault models the campaign armed.
-    fault_models: tuple[str, ...] = ()
+    #: The run the campaign's functions were injected under.
+    run: RunSpec = RunSpec()
 
     @property
     def cache_hits(self) -> int:
@@ -138,22 +134,16 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 
 
-def _inject_payload(
-    name: str,
-    max_vectors: int = MAX_VECTORS,
-    fault_models: tuple[str, ...] = (),
-) -> dict:
+def _inject_payload(name: str, run: RunSpec = RunSpec()) -> dict:
     """Run one function's injector and serialize the report.
 
     Serialization happens worker-side so only a JSON-able dict crosses
-    the process boundary and the parent can persist it verbatim.
-    ``fault_models`` travels as canonical spec strings and is resolved
-    to model instances here, inside the worker.
+    the process boundary and the parent can persist it verbatim.  The
+    run's fault models travel as canonical spec strings and are
+    resolved to model instances here, inside the worker.
     """
     spec = BY_NAME[name]
-    report = FaultInjector(
-        spec, max_vectors=max_vectors, fault_models=fault_models
-    ).run()
+    report = FaultInjector(spec, run=run).run()
     return report_to_payload(report, spec.prototype)
 
 
@@ -174,14 +164,13 @@ def run_fleet(
     campaign: str,
     workers: int,
     seed: int = 0,
-    max_vectors: int,
+    run: RunSpec,
     timeout: Optional[float] = DEFAULT_TASK_TIMEOUT,
     task_retries: int = DEFAULT_TASK_RETRIES,
     telemetry=NULL_TELEMETRY,
     on_result: Optional[Callable[[TaskResult], None]] = None,
     cache_dir=None,
     address: Optional[str] = None,
-    fault_models: Sequence[str] = (),
 ) -> dict[str, TaskResult]:
     """Execute the named functions in one fleet mode and return
     ``{name: TaskResult}`` (merge order is the caller's — the campaign
@@ -200,18 +189,16 @@ def run_fleet(
         return run_remote_fleet(
             names, digests, campaign=campaign,
             workers=clamp_jobs(workers, len(names), "remote", telemetry),
-            seed=seed, max_vectors=max_vectors, timeout=timeout,
+            seed=seed, run=run, timeout=timeout,
             task_retries=task_retries, telemetry=telemetry,
             on_result=on_result, cache_dir=cache_dir, address=address,
-            fault_models=tuple(fault_models),
         )
     from repro.fleet.worker import run_function
 
     return run_tasks(
         names,
         functools.partial(
-            run_function, digests=dict(digests), seed=seed,
-            max_vectors=max_vectors, fault_models=tuple(fault_models),
+            run_function, digests=dict(digests), seed=seed, run=run,
         ),
         jobs=workers,
         timeout=timeout,
@@ -243,12 +230,6 @@ class CampaignRunner:
             if unknown:
                 raise KeyError(f"unknown functions: {', '.join(unknown)}")
             self.specs = [BY_NAME[n] for n in functions]
-        if tuple(config.fault_models) != canonical_fault_specs(config.fault_models):
-            # Canonicalize eagerly so the digest, the manifest, the
-            # fleet wire format, and the ledger all see one spelling.
-            config = replace(
-                config, fault_models=canonical_fault_specs(config.fault_models)
-            )
         _check_fleet_mode(config.fleet or "processes")
         self.config = config
         self.telemetry = telemetry
@@ -271,12 +252,7 @@ class CampaignRunner:
         ):
             started = time.perf_counter()
             digests = {
-                spec.name: outcome_digest(
-                    spec,
-                    max_vectors=config.max_vectors,
-                    parser=self.parser,
-                    fault_models=config.fault_models,
-                )
+                spec.name: outcome_digest(spec, config.run, parser=self.parser)
                 for spec in self.specs
             }
             timings["plan"] = time.perf_counter() - started
@@ -360,14 +336,13 @@ class CampaignRunner:
                     campaign=ident,
                     workers=requested,
                     seed=config.seed,
-                    max_vectors=config.max_vectors,
+                    run=config.run,
                     timeout=config.timeout,
                     task_retries=config.task_retries,
                     telemetry=telemetry,
                     on_result=on_result,
                     cache_dir=config.cache_dir,
                     address=config.fleet_address,
-                    fault_models=config.fault_models,
                 )
         timings["inject"] = time.perf_counter() - started
 
@@ -383,8 +358,7 @@ class CampaignRunner:
         result = CampaignResult(
             reports=reports, outcomes=outcomes,
             phase_timings=timings, campaign=ident,
-            fleet_mode=fleet_mode, workers=workers,
-            fault_models=config.fault_models,
+            fleet_mode=fleet_mode, workers=workers, run=config.run,
         )
         if config.ledger is not None:
             self._ingest_ledger(result)
@@ -456,7 +430,7 @@ class CampaignRunner:
                 requested, len(names), self.config.fleet or "processes"
             ),
             "fleet": self.config.fleet,
-            "fault_models": list(self.config.fault_models),
+            "fault_models": list(self.config.run.fault_models),
             "functions": [
                 {
                     "name": name,

@@ -102,16 +102,16 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fault_models_arg(args: argparse.Namespace):
-    """Canonical spec strings from ``--fault-models``, or None after
-    printing the parse error (callers then return exit code 2)."""
-    from repro.faults import canonical_fault_specs
+def _run_arg(args: argparse.Namespace):
+    """The :class:`~repro.injector.RunSpec` ``--fault-models`` asks
+    for, or None after printing the parse error (callers then return
+    exit code 2)."""
+    from repro.injector import RunSpec
 
     try:
-        return canonical_fault_specs(getattr(args, "fault_models", None))
-    except (KeyError, ValueError) as exc:
-        # str(KeyError) wraps the message in quotes; unwrap it.
-        print(str(exc.args[0] if exc.args else exc), file=sys.stderr)
+        return RunSpec.parse(args.fault_models)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return None
 
 
@@ -123,7 +123,7 @@ def _campaign_requested(args: argparse.Namespace) -> bool:
     )
 
 
-def _campaign_config(args: argparse.Namespace, fault_models=()):
+def _campaign_config(args: argparse.Namespace, run):
     from repro.campaign import CampaignConfig
 
     cache_dir = getattr(args, "cache_dir", None)
@@ -131,7 +131,7 @@ def _campaign_config(args: argparse.Namespace, fault_models=()):
         jobs=getattr(args, "jobs", 1),
         cache_dir=Path(cache_dir) if cache_dir else None,
         resume=getattr(args, "resume", False),
-        fault_models=tuple(fault_models),
+        run=run,
     )
 
 
@@ -144,8 +144,8 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown functions: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    fault_models = _fault_models_arg(args)
-    if fault_models is None:
+    run = _run_arg(args)
+    if run is None:
         return 2
     telemetry = _telemetry_for(args)
     rows: list[dict[str, object]] = []
@@ -183,7 +183,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
         runner = CampaignRunner(
             functions=args.functions,
-            config=_campaign_config(args, fault_models),
+            config=_campaign_config(args, run),
             telemetry=telemetry,
         )
         result = runner.run()
@@ -194,9 +194,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     else:
         with telemetry.span("campaign", kind="inject", functions=len(args.functions)):
             for name in args.functions:
-                emit(name, inject_function(
-                    name, telemetry=telemetry, fault_models=fault_models
-                ))
+                emit(name, inject_function(name, run=run, telemetry=telemetry))
     if args.json:
         print(json.dumps(rows, indent=2))
     for name, error in failed.items():
@@ -211,8 +209,8 @@ def _cmd_harden(args: argparse.Namespace) -> int:
     from repro.wrapper import generate_checks_header
 
     functions = args.functions or None
-    fault_models = _fault_models_arg(args)
-    if fault_models is None:
+    run = _run_arg(args)
+    if run is None:
         return 2
     telemetry = _telemetry_for(args)
     progress = None
@@ -222,12 +220,12 @@ def _cmd_harden(args: argparse.Namespace) -> int:
         )
     pipeline = HealersPipeline(
         functions=functions,
+        run=run,
         progress=progress,
         telemetry=telemetry,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         resume=args.resume,
-        fault_models=fault_models,
     )
     hardened = pipeline.run()
     out = Path(args.output)
@@ -285,29 +283,29 @@ def _cmd_ballista(args: argparse.Namespace) -> int:
     from repro.core.cache import load_or_generate
     from repro.libc.catalog import BY_NAME
 
-    fault_models = _fault_models_arg(args)
-    if fault_models is None:
+    run = _run_arg(args)
+    if run is None:
         return 2
     telemetry = _telemetry_for(args)
     if args.functions:
         hardened = HealersPipeline(
             functions=args.functions,
+            run=run,
             telemetry=telemetry,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             resume=args.resume,
-            fault_models=fault_models,
         ).run()
         harness = BallistaHarness(
             functions=[BY_NAME[n] for n in args.functions], telemetry=telemetry
         )
     elif _campaign_requested(args):
         hardened = HealersPipeline(
+            run=run,
             telemetry=telemetry,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             resume=args.resume,
-            fault_models=fault_models,
         ).run()
         harness = BallistaHarness(total_target=11995, telemetry=telemetry)
     else:
@@ -325,7 +323,7 @@ def _cmd_ballista(args: argparse.Namespace) -> int:
 
     reports = [
         harness.run(wrapper=wrapper, configuration=label, jobs=args.jobs,
-                    fault_models=fault_models)
+                    run=run)
         for label, wrapper in configurations
     ]
     if args.json:
@@ -373,8 +371,8 @@ def _campaign_run(args: argparse.Namespace, cache_dir: Path) -> int:
     if unknown:
         print(f"unknown functions: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    fault_models = _fault_models_arg(args)
-    if fault_models is None:
+    run = _run_arg(args)
+    if run is None:
         return 2
     telemetry = _telemetry_for(args)
     progress = None
@@ -390,7 +388,7 @@ def _campaign_run(args: argparse.Namespace, cache_dir: Path) -> int:
             ledger=Path(args.ledger) if args.ledger else None,
             fleet=args.fleet, workers=args.workers,
             fleet_address=args.connect,
-            fault_models=fault_models,
+            run=run,
         ),
         telemetry=telemetry,
         progress=progress,
@@ -415,7 +413,7 @@ def _campaign_summary(result) -> dict[str, object]:
         "campaign": result.campaign,
         "fleet_mode": result.fleet_mode,
         "workers": result.workers,
-        "fault_models": list(result.fault_models),
+        "fault_models": list(result.run.fault_models),
         "cached": result.cache_hits,
         "ran": result.ran,
         "failed": result.failed,
@@ -843,6 +841,12 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--json", action="store_true",
                          help="emit the statistics as JSON")
 
+    def fault_models_option(cmd: argparse.ArgumentParser) -> None:
+        cmd.add_argument("--fault-models", metavar="SPEC",
+                         help="arm fault-model scenarios: comma-separated "
+                              "specs like 'resource,signal:offsets=1|64' "
+                              "(see 'faults list')")
+
     def campaign_options(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="fan the injection campaign out over N workers")
@@ -851,10 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--resume", action="store_true",
                          help="continue an interrupted campaign from its "
                               "checkpoint manifest")
-        cmd.add_argument("--fault-models", metavar="SPEC",
-                         help="arm fault-model scenarios: comma-separated "
-                              "specs like 'resource,signal:offsets=1|64' "
-                              "(see 'faults list')")
+        fault_models_option(cmd)
 
     inject = sub.add_parser("inject", help="fault-inject functions, print declarations")
     inject.add_argument("functions", nargs="+")
@@ -917,10 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--ledger", metavar="DB",
                               help="ingest the finished campaign into this "
                                    "results ledger (sqlite)")
-    campaign_run.add_argument("--fault-models", metavar="SPEC",
-                              help="arm fault-model scenarios: comma-separated "
-                                   "specs like 'resource,signal:offsets=1|64' "
-                                   "(see 'faults list')")
+    fault_models_option(campaign_run)
     campaign_status = campaign_sub.add_parser(
         "status", help="summarize the checkpoint manifest"
     )

@@ -24,7 +24,7 @@ from repro.declarations import (
     apply_all_manual_edits,
     declaration_from_report,
 )
-from repro.injector import FaultInjector, InjectionReport
+from repro.injector import FaultInjector, InjectionReport, RunSpec
 from repro.libc.catalog import BALLISTA_SET, BY_NAME, FunctionSpec
 from repro.libc.runtime import LibcRuntime, standard_runtime
 from repro.obs.telemetry import NULL_TELEMETRY
@@ -85,28 +85,24 @@ class HealersPipeline:
         self,
         functions: Optional[Sequence[str]] = None,
         runtime_factory: Callable[[], LibcRuntime] = standard_runtime,
-        max_vectors: int = 1200,
+        run: RunSpec = RunSpec(),
         progress: Optional[Callable[[str, InjectionReport], None]] = None,
         telemetry=NULL_TELEMETRY,
         jobs: int = 1,
         cache_dir: Optional[Path | str] = None,
         resume: bool = False,
-        fault_models: object = (),
     ) -> None:
-        from repro.faults.model import canonical_fault_specs
-
         if functions is None:
             self.specs: list[FunctionSpec] = list(BALLISTA_SET)
         else:
             self.specs = [BY_NAME[name] for name in functions]
         self.runtime_factory = runtime_factory
-        self.max_vectors = max_vectors
+        self.run_spec = run
         self.progress = progress
         self.telemetry = telemetry
         self.jobs = jobs
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.resume = resume
-        self.fault_models = canonical_fault_specs(fault_models)
 
     def run(self) -> HardenedLibrary:
         """Phase 1.  Serial and in-process by default; with ``jobs > 1``
@@ -125,9 +121,8 @@ class HealersPipeline:
                 injector = FaultInjector(
                     spec,
                     runtime_factory=self.runtime_factory,
-                    max_vectors=self.max_vectors,
+                    run=self.run_spec,
                     telemetry=telemetry,
-                    fault_models=self.fault_models,
                 )
                 report = injector.run()
                 reports[spec.name] = report
@@ -168,8 +163,7 @@ class HealersPipeline:
             jobs=self.jobs,
             cache_dir=self.cache_dir,
             resume=self.resume,
-            max_vectors=self.max_vectors,
-            fault_models=self.fault_models,
+            run=self.run_spec,
         )
         progress = self.progress
 
@@ -225,10 +219,10 @@ def harden(
     jobs: int = 1,
     cache_dir: Optional[Path | str] = None,
     resume: bool = False,
-    fault_models: object = (),
+    run: RunSpec = RunSpec(),
 ) -> HardenedLibrary:
     """One-call convenience wrapper around the pipeline."""
     return HealersPipeline(
-        functions=functions, jobs=jobs, cache_dir=cache_dir, resume=resume,
-        fault_models=fault_models,
+        functions=functions, run=run, jobs=jobs, cache_dir=cache_dir,
+        resume=resume,
     ).run()

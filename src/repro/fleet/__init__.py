@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.campaign.runner import run_fleet
+from repro.injector import RunSpec
 from repro.campaign.scheduler import plan_shards
 from repro.fleet.wire import (
     FLEET_MODES,
@@ -60,8 +61,7 @@ def build_shards(
     *,
     campaign: str,
     seed: int,
-    max_vectors: int,
-    fault_models: Sequence[str] = (),
+    run: RunSpec,
 ) -> list[ShardSpec]:
     """Stripe the campaign's functions into up to ``workers`` shards
     (same round-robin striping as :func:`plan_shards`, so shard
@@ -72,10 +72,9 @@ def build_shards(
             shard_id=f"{campaign}/{index}",
             campaign=campaign,
             seed=seed,
-            max_vectors=max_vectors,
+            run=run,
             functions=stripe,
             digests=[digests[name] for name in stripe],
-            fault_models=fault_models,
         )
         for index, stripe in enumerate(stripes)
     ]

@@ -459,7 +459,7 @@ class ShardBroker:
             shard_id=job.mint_shard_id(),
             campaign=job.campaign,
             seed=template.seed,
-            max_vectors=template.max_vectors,
+            run=template.run,
             functions=functions,
             digests=[template.digest_for(n) for n in functions],
             attempts=[job.functions[n].attempt for n in functions],

@@ -38,6 +38,7 @@ from typing import Callable, Optional, Sequence
 from repro.campaign.scheduler import DEFAULT_TASK_RETRIES, TaskResult
 from repro.fleet.wire import FunctionResult
 from repro.fleet.worker import remote_worker_main
+from repro.injector import RunSpec
 from repro.obs.telemetry import NULL_TELEMETRY
 
 #: How often the coordinator tails ``fleet.collect`` (seconds).
@@ -78,14 +79,13 @@ def run_remote_fleet(
     campaign: str,
     workers: int,
     seed: int = 0,
-    max_vectors: int,
+    run: RunSpec,
     timeout: Optional[float] = None,   # lease-granular in remote mode
     task_retries: int = DEFAULT_TASK_RETRIES,
     telemetry=NULL_TELEMETRY,
     on_result: Optional[Callable[[TaskResult], None]] = None,
     cache_dir=None,
     address: Optional[str] = None,
-    fault_models: Sequence[str] = (),
 ) -> dict[str, TaskResult]:
     """Run the campaign through a shard broker; see the module doc."""
     from repro.fleet import build_shards
@@ -130,8 +130,7 @@ def run_remote_fleet(
     client = ServiceClient(host, port, retries=4)
     try:
         shards = build_shards(
-            names, digests, workers, campaign=campaign, seed=seed,
-            max_vectors=max_vectors, fault_models=fault_models,
+            names, digests, workers, campaign=campaign, seed=seed, run=run,
         )
         submitted = client.fleet_submit(
             [s.encode() for s in shards], task_retries=task_retries

@@ -11,9 +11,10 @@ experiment bit for bit:
 * the **campaign seed** — workers re-seed per function with
   :func:`~repro.campaign.scheduler.task_seed`, making results
   independent of which worker runs what, in what order;
-* the **armed fault models** (canonical spec strings, see
-  :mod:`repro.faults`), so a worker arms exactly the scenario set the
-  parent's digests were planned under;
+* the **run** (:class:`~repro.injector.RunSpec`: the vector cap and
+  the armed fault models as canonical spec strings), so a worker
+  injects under exactly the run the parent's digests were planned
+  under;
 * the **code fingerprints** (:func:`fleet_fingerprints`): cache
   schema, lattice version, planner version, memo policy and fault
   subsystem version.  A worker whose local versions disagree **must
@@ -48,7 +49,7 @@ from typing import Optional, Sequence
 
 from repro.campaign.digest import CACHE_SCHEMA
 from repro.faults.model import FAULTS_VERSION
-from repro.injector import MEMO_POLICY, PLAN_VERSION
+from repro.injector import MEMO_POLICY, PLAN_VERSION, RunSpec
 from repro.typelattice import LATTICE_VERSION
 
 #: Bump on any incompatible change to the shard/result encoding.
@@ -105,13 +106,11 @@ class ShardSpec:
     shard_id: str
     campaign: str
     seed: int
-    max_vectors: int
+    run: RunSpec                   # every function runs under it
     functions: tuple[str, ...]
     digests: tuple[str, ...]       # parallel to ``functions``
     attempts: tuple[int, ...]      # attempt number each function runs as
     fingerprints: tuple[tuple[str, object], ...]
-    #: canonical fault-model spec strings armed for every function
-    fault_models: tuple[str, ...] = ()
 
     @classmethod
     def build(
@@ -119,12 +118,11 @@ class ShardSpec:
         shard_id: str,
         campaign: str,
         seed: int,
-        max_vectors: int,
+        run: RunSpec,
         functions: Sequence[str],
         digests: Sequence[str],
         attempts: Optional[Sequence[int]] = None,
         fingerprints: Optional[dict] = None,
-        fault_models: Sequence[str] = (),
     ) -> "ShardSpec":
         functions = tuple(functions)
         digests = tuple(digests)
@@ -141,12 +139,11 @@ class ShardSpec:
             shard_id=str(shard_id),
             campaign=str(campaign),
             seed=int(seed),
-            max_vectors=int(max_vectors),
+            run=run,
             functions=functions,
             digests=digests,
             attempts=attempts,
             fingerprints=tuple(sorted(fp.items())),
-            fault_models=tuple(str(m) for m in fault_models),
         )
 
     # ------------------------------------------------------------------
@@ -157,12 +154,11 @@ class ShardSpec:
             "shard_id": self.shard_id,
             "campaign": self.campaign,
             "seed": self.seed,
-            "max_vectors": self.max_vectors,
+            **self.run.to_wire(),
             "functions": list(self.functions),
             "digests": list(self.digests),
             "attempts": list(self.attempts),
             "fingerprints": dict(self.fingerprints),
-            "fault_models": list(self.fault_models),
         }
 
     @classmethod
@@ -184,12 +180,11 @@ class ShardSpec:
                 shard_id=str(document["shard_id"]),
                 campaign=str(document["campaign"]),
                 seed=int(document["seed"]),
-                max_vectors=int(document["max_vectors"]),
+                run=RunSpec.from_wire(document),
                 functions=functions,
                 digests=digests,
                 attempts=attempts,
                 fingerprints=fingerprints,
-                fault_models=[str(m) for m in document.get("fault_models", [])],
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, WireError):

@@ -36,6 +36,7 @@ from repro.campaign.scheduler import (  # noqa: F401 - CHAOS_ENV re-exported
     reseed,
 )
 from repro.fleet.wire import FunctionResult, ShardSpec, fleet_fingerprints
+from repro.injector import RunSpec
 
 #: How often an idle remote worker re-polls for work (seconds).
 DEFAULT_POLL_INTERVAL = 0.2
@@ -49,10 +50,9 @@ def execute_function(
     name: str,
     digest: str,
     seed: int,
-    max_vectors: int,
+    run: RunSpec,
     attempt: int = 1,
     worker: str = "",
-    fault_models: tuple[str, ...] = (),
 ) -> FunctionResult:
     """Run one function's injector under the campaign's per-task seed
     and return its wire-encoded outcome (never raises)."""
@@ -63,9 +63,7 @@ def execute_function(
         from repro.campaign.runner import _inject_payload
 
         reseed(seed, name)
-        payload = _inject_payload(
-            name, max_vectors=max_vectors, fault_models=fault_models
-        )
+        payload = _inject_payload(name, run)
     except BaseException:
         return FunctionResult(
             function=name,
@@ -92,15 +90,13 @@ def run_function(
     *,
     digests: dict[str, str],
     seed: int,
-    max_vectors: int,
-    fault_models: tuple[str, ...] = (),
+    run: RunSpec,
 ) -> dict:
     """The :func:`~repro.campaign.scheduler.run_tasks` worker: one
     function through :func:`execute_function`, returning its payload.
     A failed result raises, so the pool retries it within its budget."""
     result = execute_function(
-        name, digests[name], seed, max_vectors, current_attempt(),
-        fault_models=fault_models,
+        name, digests[name], seed, run, attempt=current_attempt()
     )
     if not result.ok:
         raise RuntimeError(result.error)
@@ -122,8 +118,7 @@ def execute_shard(
         shard.functions, shard.digests, shard.attempts
     ):
         result = execute_function(
-            name, digest, shard.seed, shard.max_vectors, attempt, worker,
-            shard.fault_models,
+            name, digest, shard.seed, shard.run, attempt=attempt, worker=worker
         )
         results.append(result)
         if on_result is not None:

@@ -4,8 +4,8 @@ bit-flip campaign of the paper's future-work section.
 
 Scenario-based fault models (resource exhaustion, signal interruption,
 hostile callbacks, table corruption) live in :mod:`repro.faults`; the
-injector arms them through ``FaultInjector(fault_models=...)`` and
-reports per-scenario :class:`~repro.faults.ScenarioEvidence`."""
+injector arms them through ``FaultInjector(run=RunSpec(fault_models=...))``
+and reports per-scenario :class:`~repro.faults.ScenarioEvidence`."""
 
 from repro.faults.model import ScenarioEvidence
 from repro.injector.bitflips import (
@@ -22,6 +22,7 @@ from repro.injector.injector import (
     InjectionReport,
     MAX_RETRIES,
     MAX_VECTORS,
+    RunSpec,
     auto_checkable,
     inject_function,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "InjectionReport",
     "MAX_RETRIES",
     "MAX_VECTORS",
+    "RunSpec",
     "ScenarioEvidence",
     "auto_checkable",
     "inject_function",

@@ -37,6 +37,8 @@ from repro.cdecl import DeclarationParser, FunctionPrototype, typedef_table
 from repro.faults.model import (
     FaultModelsSpec,
     ScenarioEvidence,
+    canonical_fault_specs,
+    faults_fingerprint,
     resolve_fault_models,
     scenario_sample,
 )
@@ -77,6 +79,67 @@ MAX_VECTORS = 1200
 #: Cap on adaptive retries of a single vector (generous enough for the
 #: full growth schedule of one argument plus a few interleavings).
 MAX_RETRIES = 96
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """The run-dependent inputs of an injection: the vector cap and
+    the armed fault models.
+
+    Everything else an injection result depends on (the function, its
+    generators, the lattice) is fixed per function; this is what one
+    run chooses.  The digest, the fleet wire and the injector all read
+    the same object, so they cannot disagree.  Fault models are held
+    as canonical spec strings (sorted by model name), which keeps the
+    spec hashable and picklable; :meth:`models` resolves them.
+    """
+
+    max_vectors: int = MAX_VECTORS
+    fault_models: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "fault_models", canonical_fault_specs(self.fault_models)
+        )
+
+    @classmethod
+    def parse(cls, fault_models: FaultModelsSpec) -> "RunSpec":
+        """The run a ``--fault-models`` spec (or a request's
+        ``fault_models``) asks for.  Raises ValueError with a printable
+        message; each caller maps it to its own error."""
+        try:
+            return cls(fault_models=fault_models)
+        except (KeyError, ValueError) as exc:
+            # str(KeyError) wraps the message in quotes; unwrap it.
+            raise ValueError(str(exc.args[0] if exc.args else exc)) from None
+
+    def models(self) -> tuple:
+        """The armed :class:`~repro.faults.FaultModel` instances."""
+        return resolve_fault_models(self.fault_models)
+
+    def digest_block(self) -> dict:
+        """This run's keys of the outcome-digest document.  ``faults``
+        is present only when models are armed, so unarmed digests stay
+        byte-identical to those minted before fault models existed."""
+        block: dict = {
+            "caps": {"max_vectors": self.max_vectors, "max_retries": MAX_RETRIES}
+        }
+        if self.fault_models:
+            block["faults"] = faults_fingerprint(self.fault_models)
+        return block
+
+    def to_wire(self) -> dict:
+        return {
+            "max_vectors": self.max_vectors,
+            "fault_models": list(self.fault_models),
+        }
+
+    @classmethod
+    def from_wire(cls, document: dict) -> "RunSpec":
+        return cls(
+            max_vectors=int(document["max_vectors"]),
+            fault_models=tuple(str(m) for m in document.get("fault_models", [])),
+        )
 
 
 @dataclass
@@ -138,11 +201,10 @@ class FaultInjector:
         spec: FunctionSpec,
         parser: Optional[DeclarationParser] = None,
         runtime_factory: Callable[[], LibcRuntime] = standard_runtime,
-        max_vectors: int = MAX_VECTORS,
+        run: RunSpec = RunSpec(),
         checkable: Callable = auto_checkable,
         telemetry=NULL_TELEMETRY,
         plan: Optional[str] = "shared",
-        fault_models: FaultModelsSpec = (),
     ) -> None:
         if plan not in (None, "shared", "private"):
             raise ValueError(f"unknown plan mode: {plan!r}")
@@ -155,12 +217,12 @@ class FaultInjector:
         self.parser = parser or DeclarationParser(typedef_table())
         self.prototype = self.parser.parse_prototype(spec.prototype)
         self.runtime_factory = runtime_factory
-        self.max_vectors = max_vectors
+        self.max_vectors = run.max_vectors
         self.checkable = checkable
-        #: armed fault models (instances, spec strings, or a comma
-        #: spec); empty = baseline HEALERS behaviour, bit-identical
-        #: to a build without the faults subsystem.
-        self.fault_models = resolve_fault_models(fault_models)
+        #: armed fault-model instances; empty = baseline HEALERS
+        #: behaviour, bit-identical to a build without the faults
+        #: subsystem.
+        self.fault_models = run.models()
         #: per-function telemetry scope: every metric/span recorded by
         #: this injector (and its sandbox) carries ``function=<name>``.
         self.telemetry = telemetry.scope(function=spec.name)
@@ -551,11 +613,10 @@ class FaultInjector:
 def inject_function(
     name: str,
     runtime_factory: Callable[[], LibcRuntime] = standard_runtime,
-    max_vectors: int = MAX_VECTORS,
+    run: RunSpec = RunSpec(),
     checkable: Callable = auto_checkable,
     telemetry=NULL_TELEMETRY,
     plan: Optional[str] = "shared",
-    fault_models: FaultModelsSpec = (),
 ) -> InjectionReport:
     """Convenience: build and run the injector for a catalog function."""
     from repro.libc.catalog import BY_NAME
@@ -563,10 +624,9 @@ def inject_function(
     injector = FaultInjector(
         BY_NAME[name],
         runtime_factory=runtime_factory,
-        max_vectors=max_vectors,
+        run=run,
         checkable=checkable,
         telemetry=telemetry,
         plan=plan,
-        fault_models=fault_models,
     )
     return injector.run()

@@ -440,7 +440,7 @@ class Ledger:
         # serial run of the same campaign.
         fleet_mode = str(getattr(result, "fleet_mode", "serial"))
         workers = int(getattr(result, "workers", 1))
-        fault_models = tuple(getattr(result, "fault_models", ()))
+        fault_models = result.run.fault_models
         # Armed fault models join the key only when present so every
         # pre-existing (unfaulted) run keeps its dedup identity.
         key_parts = [

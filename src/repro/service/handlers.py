@@ -10,7 +10,7 @@ functions ``handler(state, params) -> result dict`` that raise
 The request path for anything needing an
 :class:`~repro.injector.InjectionReport` is always::
 
-    digest = outcome_digest(spec)          # content address (cached)
+    digest = outcome_digest(spec, run)     # content address (cached)
     memo hit?       -> the memoized report, no store read, no decode
     store hit?      -> decode once, memoize, zero sandbox work
     store miss or
@@ -28,6 +28,7 @@ hands out.  Without a store nothing is memoized.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +40,7 @@ from repro.campaign.store import OutcomeStore, report_to_payload
 from repro.cdecl import DeclarationParser, typedef_table
 from repro.fleet.broker import DEFAULT_LEASE_TTL, BrokerError, ShardBroker
 from repro.fleet.wire import FunctionResult, ShardSpec, WireError
-from repro.injector import FaultInjector, InjectionReport, MAX_VECTORS
+from repro.injector import FaultInjector, InjectionReport, MAX_VECTORS, RunSpec
 from repro.libc.catalog import BALLISTA_SET, BY_NAME, CATALOG
 from repro.obs import Telemetry
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -55,18 +56,12 @@ _REPORT_MEMO_LIMIT = 256
 
 
 def _run_injection(
-    name: str,
-    telemetry=NULL_TELEMETRY,
-    max_vectors: int = MAX_VECTORS,
-    fault_models: tuple[str, ...] = (),
+    name: str, telemetry=NULL_TELEMETRY, run: RunSpec = RunSpec()
 ) -> tuple[InjectionReport, dict]:
     """Run one function's injector in the calling (worker) thread and
     return the report with its JSON-stable outcome payload."""
     spec = BY_NAME[name]
-    report = FaultInjector(
-        spec, max_vectors=max_vectors, telemetry=telemetry,
-        fault_models=fault_models,
-    ).run()
+    report = FaultInjector(spec, run=run, telemetry=telemetry).run()
     return report, report_to_payload(report, spec.prototype)
 
 
@@ -116,23 +111,21 @@ class ServiceState:
         )
         self.started = time.monotonic()
         self.shutting_down = False
-        self._digests: dict[tuple[str, tuple[str, ...]], str] = {}
+        self._digests: dict[tuple[str, RunSpec], str] = {}
         self._reports: dict[str, InjectionReport] = {}
         # The fleet's shard broker: remote workers lease campaign
         # shards from here (see repro.fleet.broker).
         self.broker = ShardBroker(telemetry=self.telemetry, lease_ttl=lease_ttl)
 
     # ------------------------------------------------------------------
-    def digest_for(self, name: str, fault_models: tuple[str, ...] = ()) -> str:
+    def digest_for(self, name: str, run: RunSpec = RunSpec()) -> str:
         """The content address of ``name``'s outcome (memoized: specs,
         generators, and lattice version are fixed for a process; the
-        armed fault-model set keys the memo alongside the name)."""
-        key = (name, fault_models)
+        run keys the memo alongside the name)."""
+        key = (name, run)
         digest = self._digests.get(key)
         if digest is None:
-            digest = outcome_digest(
-                BY_NAME[name], parser=self.parser, fault_models=fault_models
-            )
+            digest = outcome_digest(BY_NAME[name], run, parser=self.parser)
             self._digests[key] = digest
         return digest
 
@@ -151,13 +144,13 @@ class ServiceState:
         self._reports[digest] = report
 
     async def report_for(
-        self, name: str, fault_models: tuple[str, ...] = ()
+        self, name: str, run: RunSpec = RunSpec()
     ) -> tuple[InjectionReport, str]:
         """One function's report plus how it was obtained (``"cache"``
         or ``"injected"``).  Callers share the returned report and must
         not mutate it."""
         self.spec_for(name)
-        digest = self.digest_for(name, fault_models)
+        digest = self.digest_for(name, run)
         if self.store is not None:
             report = self._reports.get(digest)
             if report is None:
@@ -175,8 +168,8 @@ class ServiceState:
             report, payload = await loop.run_in_executor(
                 self.executor,
                 functools.partial(
-                    _run_injection, name, self.telemetry, self.max_vectors,
-                    fault_models,
+                    _run_injection, name, self.telemetry,
+                    dataclasses.replace(run, max_vectors=self.max_vectors),
                 ),
             )
             if self.store is not None:
@@ -230,27 +223,22 @@ def _functions_param(params: dict, required: bool) -> Optional[list[str]]:
     return functions
 
 
-def _fault_models_param(params: dict) -> tuple[str, ...]:
-    """Canonical fault-model spec strings from ``params.fault_models``
-    (a spec string or list of them; absent → no models armed)."""
+def _run_param(params: dict) -> RunSpec:
+    """The run ``params.fault_models`` asks for (a spec string or list
+    of them; absent → no models armed)."""
     raw = params.get("fault_models")
-    if raw is None:
-        return ()
-    if not isinstance(raw, (str, list)) or (
-        isinstance(raw, list) and not all(isinstance(m, str) for m in raw)
+    if raw is not None and (
+        not isinstance(raw, (str, list))
+        or (isinstance(raw, list) and not all(isinstance(m, str) for m in raw))
     ):
         raise ServiceError(
             ErrorCode.INVALID_PARAMS,
             "params.fault_models must be a spec string or list of strings",
         )
-    from repro.faults.model import canonical_fault_specs
-
     try:
-        return canonical_fault_specs(raw)
-    except (KeyError, ValueError) as exc:
-        # str(KeyError) wraps the message in quotes; unwrap it.
-        message = exc.args[0] if exc.args else str(exc)
-        raise ServiceError(ErrorCode.INVALID_PARAMS, str(message)) from exc
+        return RunSpec.parse(raw)
+    except ValueError as exc:
+        raise ServiceError(ErrorCode.INVALID_PARAMS, str(exc)) from exc
 
 
 #: The param keys each work op reads.  Any other key is refused:
@@ -325,11 +313,9 @@ async def handle_inject(state: ServiceState, params: dict) -> dict:
     """One function's full injection-campaign summary."""
     _check_param_keys("inject", params)
     name = _function_param(params)
-    fault_models = _fault_models_param(params)
-    report, source = await state.report_for(name, fault_models)
-    return _report_row(
-        name, report, source, state.digest_for(name, fault_models)
-    )
+    run = _run_param(params)
+    report, source = await state.report_for(name, run)
+    return _report_row(name, report, source, state.digest_for(name, run))
 
 
 async def handle_harden(state: ServiceState, params: dict) -> dict:
@@ -507,14 +493,14 @@ async def handle_validate(state: ServiceState, params: dict) -> dict:
 
     _check_param_keys("validate", params)
     calls = _calls_param(params)
-    fault_models = _fault_models_param(params)
+    run = _run_param(params)
     execute = bool(params.get("execute"))
     policy_name = params.get("policy", "robust")
     names = sorted({name for name, _ in calls})
     specs = {name: state.spec_for(name) for name in names}
     reports = {}
     for name in names:
-        report, _ = await state.report_for(name, fault_models)
+        report, _ = await state.report_for(name, run)
         reports[name] = report
 
     def run() -> dict:

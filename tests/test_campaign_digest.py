@@ -8,6 +8,7 @@ from repro.campaign import (
     outcome_digest,
     spec_fingerprint,
 )
+from repro.injector import RunSpec
 from repro.libc.catalog import BY_NAME
 
 
@@ -35,10 +36,12 @@ class TestOutcomeDigest:
         changed = dataclasses.replace(spec, version="GLIBC_2.3")
         assert outcome_digest(changed) != outcome_digest(spec)
 
-    def test_injector_cap_change_invalidates(self):
+    def test_injector_cap_change_invalidates(self, monkeypatch):
         spec = BY_NAME["strcpy"]
-        assert outcome_digest(spec, max_vectors=10) != outcome_digest(spec)
-        assert outcome_digest(spec, max_retries=1) != outcome_digest(spec)
+        default = outcome_digest(spec)
+        assert outcome_digest(spec, RunSpec(max_vectors=10)) != default
+        monkeypatch.setattr("repro.injector.injector.MAX_RETRIES", 1)
+        assert outcome_digest(spec) != default
 
     def test_lattice_version_change_invalidates(self):
         spec = BY_NAME["strcpy"]

@@ -102,10 +102,10 @@ class TestCampaignRunner:
     def test_failed_function_does_not_abort_campaign(self, monkeypatch):
         real = runner_mod._inject_payload
 
-        def flaky(name, max_vectors=1200, fault_models=()):
+        def flaky(name, *args, **kwargs):
             if name == "labs":
                 raise RuntimeError("injector exploded")
-            return real(name, max_vectors=max_vectors, fault_models=fault_models)
+            return real(name, *args, **kwargs)
 
         monkeypatch.setattr(runner_mod, "_inject_payload", flaky)
         result = CampaignRunner(
@@ -173,10 +173,10 @@ class TestPipelineCampaign:
     def test_campaign_pipeline_reports_failures(self, monkeypatch):
         real = runner_mod._inject_payload
 
-        def flaky(name, max_vectors=1200, fault_models=()):
+        def flaky(name, *args, **kwargs):
             if name == "labs":
                 raise RuntimeError("injector exploded")
-            return real(name, max_vectors=max_vectors, fault_models=fault_models)
+            return real(name, *args, **kwargs)
 
         monkeypatch.setattr(runner_mod, "_inject_payload", flaky)
         hardened = HealersPipeline(

@@ -25,7 +25,7 @@ from repro.faults.model import (
     scenario_sample,
     stride_sample,
 )
-from repro.injector import FaultInjector
+from repro.injector import FaultInjector, RunSpec
 from repro.libc.catalog import BY_NAME
 
 BUILTINS = ("bitflip", "callback", "ctype_table", "format", "resource", "signal")
@@ -188,14 +188,14 @@ class TestScenarioEvidence:
 
 class TestInjectorEvidence:
     def test_unarmed_run_has_no_evidence(self):
-        report = FaultInjector(BY_NAME["fopen"], max_vectors=24).run()
+        report = FaultInjector(BY_NAME["fopen"], run=RunSpec(24)).run()
         assert report.fault_evidence == []
         assert report.unsafe_scenarios == ()
 
     def test_armed_run_leaves_the_baseline_untouched(self):
-        plain = FaultInjector(BY_NAME["fopen"], max_vectors=24).run()
+        plain = FaultInjector(BY_NAME["fopen"], run=RunSpec(24)).run()
         armed = FaultInjector(
-            BY_NAME["fopen"], max_vectors=24, fault_models="resource,signal"
+            BY_NAME["fopen"], run=RunSpec(24, "resource,signal")
         ).run()
         assert armed.robust_types == plain.robust_types
         assert armed.vectors_run == plain.vectors_run
@@ -206,7 +206,7 @@ class TestInjectorEvidence:
 
     def test_armed_run_collects_per_scenario_evidence(self):
         report = FaultInjector(
-            BY_NAME["fopen"], max_vectors=24, fault_models="resource"
+            BY_NAME["fopen"], run=RunSpec(24, "resource")
         ).run()
         assert report.fault_evidence
         keys = {evidence.key for evidence in report.fault_evidence}
@@ -215,13 +215,13 @@ class TestInjectorEvidence:
 
     def test_malloc_exhaustion_condemns_fopen(self):
         report = FaultInjector(
-            BY_NAME["fopen"], max_vectors=24, fault_models="resource"
+            BY_NAME["fopen"], run=RunSpec(24, "resource")
         ).run()
         assert "resource:malloc_null" in report.unsafe_scenarios
 
     def test_evidence_is_deterministic(self):
         run = lambda: FaultInjector(  # noqa: E731
-            BY_NAME["fopen"], max_vectors=24, fault_models="resource,signal"
+            BY_NAME["fopen"], run=RunSpec(24, "resource,signal")
         ).run()
         assert run().fault_evidence == run().fault_evidence
 
@@ -229,7 +229,7 @@ class TestInjectorEvidence:
 class TestDeclarationScenarios:
     def test_declaration_carries_unsafe_scenarios(self):
         report = FaultInjector(
-            BY_NAME["fopen"], max_vectors=24, fault_models="resource"
+            BY_NAME["fopen"], run=RunSpec(24, "resource")
         ).run()
         declaration = declaration_from_report(report)
         assert declaration.unsafe_scenarios == report.unsafe_scenarios
@@ -237,14 +237,14 @@ class TestDeclarationScenarios:
 
     def test_xml_round_trip(self):
         report = FaultInjector(
-            BY_NAME["fopen"], max_vectors=24, fault_models="resource"
+            BY_NAME["fopen"], run=RunSpec(24, "resource")
         ).run()
         declaration = declaration_from_report(report)
         parsed = FunctionDeclaration.from_xml(declaration.to_xml())
         assert parsed.unsafe_scenarios == declaration.unsafe_scenarios
 
     def test_plain_declaration_is_not_scenario_unsafe(self):
-        report = FaultInjector(BY_NAME["fopen"], max_vectors=24).run()
+        report = FaultInjector(BY_NAME["fopen"], run=RunSpec(24)).run()
         declaration = declaration_from_report(report)
         assert declaration.unsafe_scenarios == ()
         assert not declaration.scenario_unsafe

@@ -13,6 +13,7 @@ import pytest
 
 from repro.campaign import CampaignConfig, CampaignRunner, outcome_digest
 from repro.fleet.wire import ShardSpec, fleet_fingerprints
+from repro.injector import RunSpec
 from repro.libc.catalog import BY_NAME
 
 #: Cheap functions with distinct fault-model surfaces: fopen mallocs
@@ -29,20 +30,21 @@ needs_fork = pytest.mark.skipif(
 class TestOutcomeDigest:
     def test_armed_models_change_the_digest(self):
         spec = BY_NAME["fopen"]
-        assert outcome_digest(spec, fault_models="resource") != outcome_digest(spec)
+        armed = RunSpec(fault_models="resource")
+        assert outcome_digest(spec, armed) != outcome_digest(spec)
 
     def test_each_model_changes_the_digest_differently(self):
         spec = BY_NAME["fopen"]
         digests = {
-            outcome_digest(spec, fault_models=models)
+            outcome_digest(spec, RunSpec(fault_models=models))
             for models in ("resource", "signal", "ctype_table", "resource,signal")
         }
         assert len(digests) == 4
 
     def test_parameters_change_the_digest(self):
         spec = BY_NAME["fopen"]
-        assert outcome_digest(spec, fault_models="signal") != outcome_digest(
-            spec, fault_models="signal:offsets=7"
+        assert outcome_digest(spec, RunSpec(fault_models="signal")) != outcome_digest(
+            spec, RunSpec(fault_models="signal:offsets=7")
         )
 
     def test_empty_model_set_leaves_the_digest_alone(self):
@@ -50,14 +52,14 @@ class TestOutcomeDigest:
         # campaign's digests are byte-identical to a build where the
         # faults subsystem does not exist.
         spec = BY_NAME["fopen"]
-        assert outcome_digest(spec) == outcome_digest(spec, fault_models=())
-        assert outcome_digest(spec) == outcome_digest(spec, fault_models=None)
+        assert outcome_digest(spec) == outcome_digest(spec, RunSpec(fault_models=()))
+        assert outcome_digest(spec) == outcome_digest(spec, RunSpec(fault_models=None))
 
     def test_spec_order_does_not_change_the_digest(self):
         spec = BY_NAME["fopen"]
-        assert outcome_digest(spec, fault_models="signal,resource") == outcome_digest(
-            spec, fault_models="resource,signal"
-        )
+        assert outcome_digest(
+            spec, RunSpec(fault_models="signal,resource")
+        ) == outcome_digest(spec, RunSpec(fault_models="resource,signal"))
 
 
 class TestWire:
@@ -71,20 +73,21 @@ class TestWire:
             shard_id="c/0",
             campaign="c",
             seed=0,
-            max_vectors=MAX_VECTORS,
+            run=RunSpec(MAX_VECTORS, ("resource", "signal:offsets=1|64")),
             functions=("abs",),
             digests=("d",),
-            fault_models=("resource", "signal:offsets=1|64"),
         )
         decoded = ShardSpec.decode(shard.encode())
-        assert decoded.fault_models == ("resource", "signal:offsets=1|64")
+        assert decoded.run.fault_models == ("resource", "signal:offsets=1|64")
 
 
-def run_campaign(tmp_path, subdir, **config):
+def run_campaign(tmp_path, subdir, fault_models=(), **config):
     runner = CampaignRunner(
         functions=FUNCTIONS,
         config=CampaignConfig(
-            cache_dir=tmp_path / subdir, max_vectors=MAX_VECTORS, **config
+            cache_dir=tmp_path / subdir,
+            run=RunSpec(MAX_VECTORS, fault_models),
+            **config,
         ),
     )
     return runner.run()
@@ -111,8 +114,8 @@ class TestCampaignHonesty:
 
     def test_result_records_the_armed_models(self, tmp_path):
         result = run_campaign(tmp_path, "spec", fault_models=("signal:reenter=0",))
-        assert result.fault_models == ("signal:reenter=0",)
-        assert run_campaign(tmp_path, "plain2").fault_models == ()
+        assert result.run.fault_models == ("signal:reenter=0",)
+        assert run_campaign(tmp_path, "plain2").run.fault_models == ()
 
 
 @needs_fork

@@ -5,6 +5,7 @@ import pytest
 from repro.fleet import FingerprintMismatch, FunctionResult, ShardSpec
 from repro.fleet import fleet_fingerprints
 from repro.fleet.broker import BrokerError, ShardBroker
+from repro.injector import RunSpec
 
 
 class FakeClock:
@@ -18,7 +19,9 @@ class FakeClock:
         self.now += seconds
 
 
-def make_shards(campaign="camp", functions=("a", "b", "c"), workers=2):
+def make_shards(
+    campaign="camp", functions=("a", "b", "c"), workers=2, run=RunSpec(8)
+):
     names = list(functions)
     stripes = [names[i::workers] for i in range(min(workers, len(names)))]
     return [
@@ -26,7 +29,7 @@ def make_shards(campaign="camp", functions=("a", "b", "c"), workers=2):
             shard_id=f"{campaign}/{i}",
             campaign=campaign,
             seed=0,
-            max_vectors=8,
+            run=run,
             functions=stripe,
             digests=[f"d-{n}" for n in stripe],
         )
@@ -147,6 +150,17 @@ class TestLeaseExpiry:
         assert retry.shard_id != shard.shard_id
         assert broker.lease_expiries == 1
         assert broker.reshard_count == 1
+
+    def test_requeued_shard_keeps_the_run(self, broker, clock):
+        # The retry runs under the digests the parent planned, so it
+        # must arm the same fault models at the same cap.
+        armed = RunSpec(max_vectors=8, fault_models=("resource",))
+        dead = register(broker, "dead")
+        broker.submit(make_shards(functions=("a",), workers=1, run=armed))
+        broker.lease(dead)
+        clock.advance(31.0)
+        retry = broker.lease(register(broker, "survivor"))
+        assert retry.run == armed
 
     def test_heartbeat_renews_lease(self, broker, clock):
         worker = register(broker)

@@ -11,12 +11,13 @@ from repro.campaign import CampaignConfig, CampaignRunner
 from repro.fleet import run_fleet
 from repro.fleet.worker import CHAOS_ENV, execute_function
 from repro.fleet.wire import FunctionResult
+from repro.injector import RunSpec
 from repro.obs.telemetry import Telemetry
 
 #: Cheap catalog functions — the whole set injects in well under a
 #: second, so supervised-fleet tests stay tier-1 fast.
 FUNCTIONS = ["abs", "labs", "atoi", "isdigit", "toupper", "strcpy"]
-MAX_VECTORS = 24
+RUN = RunSpec(max_vectors=24)
 DIGESTS = {name: f"digest-{name}" for name in FUNCTIONS}
 
 needs_fork = pytest.mark.skipif(
@@ -29,7 +30,7 @@ needs_fork = pytest.mark.skipif(
 def serial_payloads():
     """The ground truth: every function executed serially in-process."""
     return {
-        name: execute_function(name, DIGESTS[name], 0, MAX_VECTORS).payload
+        name: execute_function(name, DIGESTS[name], 0, RUN).payload
         for name in FUNCTIONS
     }
 
@@ -39,7 +40,7 @@ def run_fleet_payloads(telemetry=None, **overrides):
         campaign="test-fleet",
         workers=2,
         seed=0,
-        max_vectors=MAX_VECTORS,
+        run=RUN,
         timeout=60.0,
         task_retries=1,
     )
@@ -64,15 +65,14 @@ class TestBitIdentical:
 
     def test_empty_campaign(self):
         assert run_fleet(
-            "processes", [], {}, campaign="empty", workers=2,
-            max_vectors=MAX_VECTORS,
+            "processes", [], {}, campaign="empty", workers=2, run=RUN,
         ) == {}
 
     def test_unknown_mode_refused(self):
         with pytest.raises(ValueError, match="unknown fleet mode"):
             run_fleet(
                 "hovercraft", FUNCTIONS, DIGESTS, campaign="x", workers=1,
-                max_vectors=MAX_VECTORS, timeout=None, task_retries=0,
+                run=RUN, timeout=None, task_retries=0,
             )
 
 
@@ -95,12 +95,11 @@ class TestWorkerDeath:
 @needs_fork
 class TestDeadlinesAndRetries:
     def test_hung_function_hits_deadline(self, monkeypatch):
-        def fake_execute(name, digest, seed, max_vectors, attempt=1, worker="",
-                         fault_models=()):
+        def fake_execute(name, digest, *args, attempt=1, **kwargs):
             if name == "abs":
                 time.sleep(60.0)
             return execute_function(
-                name, digest, seed, max_vectors, attempt, worker, fault_models
+                name, digest, *args, attempt=attempt, **kwargs
             )
 
         monkeypatch.setattr(
@@ -115,15 +114,14 @@ class TestDeadlinesAndRetries:
         assert all(results[n].ok for n in FUNCTIONS if n != "abs")
 
     def test_transient_failure_retries_on_fresh_worker(self, monkeypatch):
-        def fake_execute(name, digest, seed, max_vectors, attempt=1, worker="",
-                         fault_models=()):
+        def fake_execute(name, digest, *args, attempt=1, **kwargs):
             if name == "abs" and attempt == 1:
                 return FunctionResult(
                     function=name, digest=digest, status="failed",
                     attempt=attempt, elapsed=0.0, error="transient",
                 )
             return execute_function(
-                name, digest, seed, max_vectors, attempt, worker, fault_models
+                name, digest, *args, attempt=attempt, **kwargs
             )
 
         monkeypatch.setattr(
@@ -134,15 +132,14 @@ class TestDeadlinesAndRetries:
         assert results["abs"].attempts == 2
 
     def test_exhausted_retries_fail_terminally(self, monkeypatch):
-        def fake_execute(name, digest, seed, max_vectors, attempt=1, worker="",
-                         fault_models=()):
+        def fake_execute(name, digest, *args, attempt=1, **kwargs):
             if name == "abs":
                 return FunctionResult(
                     function=name, digest=digest, status="failed",
                     attempt=attempt, elapsed=0.0, error="always broken",
                 )
             return execute_function(
-                name, digest, seed, max_vectors, attempt, worker, fault_models
+                name, digest, *args, attempt=attempt, **kwargs
             )
 
         monkeypatch.setattr(

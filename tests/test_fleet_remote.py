@@ -9,10 +9,11 @@ import pytest
 from repro.fleet import ShardSpec, fleet_fingerprints
 from repro.fleet.remote import parse_address, run_remote_fleet
 from repro.fleet.worker import execute_function
+from repro.injector import RunSpec
 from repro.service import ServiceClient, ServiceConfig, ServiceError, serve_in_thread
 
 FUNCTIONS = ["abs", "labs", "atoi"]
-MAX_VECTORS = 24
+RUN = RunSpec(max_vectors=24)
 
 #: Short lease so expiry tests wait fractions of a second, not 30s.
 LEASE_TTL = 0.6
@@ -47,7 +48,7 @@ def make_shards(campaign, functions=FUNCTIONS, digests=None):
             shard_id=f"{campaign}/0",
             campaign=campaign,
             seed=0,
-            max_vectors=MAX_VECTORS,
+            run=RUN,
             functions=functions,
             digests=[digests[n] for n in functions],
         )
@@ -71,7 +72,7 @@ def drive_worker(client, worker_id, campaign):
         shard = ShardSpec.decode(doc)
         for name in shard.functions:
             result = execute_function(
-                name, shard.digest_for(name), shard.seed, shard.max_vectors,
+                name, shard.digest_for(name), shard.seed, shard.run,
                 shard.attempt_for(name), worker=worker_id,
             )
             client.worker_result(
@@ -137,7 +138,7 @@ class TestLeaseExpiry:
         # The survivor finishes the retry shard it already holds.
         for name in retry.functions:
             result = execute_function(
-                name, retry.digest_for(name), retry.seed, retry.max_vectors,
+                name, retry.digest_for(name), retry.seed, retry.run,
                 retry.attempt_for(name), worker=survivor,
             )
             client.worker_result(
@@ -182,7 +183,7 @@ class TestRunRemoteFleet:
         digests = {n: f"digest-e2e-{n}" for n in FUNCTIONS}
         serial = {
             name: execute_function(
-                name, digests[name], 0, MAX_VECTORS
+                name, digests[name], 0, RUN
             ).payload
             for name in FUNCTIONS
         }
@@ -191,7 +192,7 @@ class TestRunRemoteFleet:
             campaign="remote-e2e",
             workers=2,
             seed=0,
-            max_vectors=MAX_VECTORS,
+            run=RUN,
             task_retries=1,
             cache_dir=tmp_path / "store",
         )

@@ -16,6 +16,7 @@ from repro.fleet import (
     fleet_fingerprints,
     verify_fingerprints,
 )
+from repro.injector import RunSpec
 
 
 def make_shard(**overrides):
@@ -23,7 +24,7 @@ def make_shard(**overrides):
         shard_id="camp/0",
         campaign="camp",
         seed=7,
-        max_vectors=24,
+        run=RunSpec(max_vectors=24),
         functions=["strcpy", "memcpy"],
         digests=["d-strcpy", "d-memcpy"],
     )
@@ -55,7 +56,7 @@ class TestShardRoundTrip:
     def test_digest_sees_every_field(self):
         base = make_shard()
         assert make_shard(seed=8).digest() != base.digest()
-        assert make_shard(max_vectors=25).digest() != base.digest()
+        assert make_shard(run=RunSpec(max_vectors=25)).digest() != base.digest()
         assert make_shard(attempts=[2, 1]).digest() != base.digest()
         assert make_shard(shard_id="camp/1").digest() != base.digest()
 
@@ -153,7 +154,7 @@ class TestBuildShards:
         names = [f"fn{i}" for i in range(5)]
         digests = {n: f"d-{n}" for n in names}
         shards = build_shards(
-            names, digests, 2, campaign="c", seed=1, max_vectors=10
+            names, digests, 2, campaign="c", seed=1, run=RunSpec(max_vectors=10)
         )
         assert [list(s.functions) for s in shards] == [
             ["fn0", "fn2", "fn4"], ["fn1", "fn3"]
@@ -190,12 +191,11 @@ def _pinned_shard(fault_models):
         shard_id="pin/0",
         campaign="pin",
         seed=0,
-        max_vectors=1200,
+        run=RunSpec(max_vectors=1200, fault_models=fault_models),
         functions=["strcpy", "fopen"],
         digests=["d-strcpy", "d-fopen"],
         attempts=[1, 2],
         fingerprints=PINNED_FINGERPRINTS,
-        fault_models=fault_models,
     )
 
 

@@ -4,7 +4,7 @@ injection, produce a declaration, and yield valid wrapper C code."""
 import pytest
 
 from repro.declarations import declaration_from_report
-from repro.injector import FaultInjector
+from repro.injector import FaultInjector, RunSpec
 from repro.libc.catalog import BALLISTA_SET, BY_NAME, CATALOG
 from repro.wrapper import generate_wrapper_function, generate_wrapper_library
 
@@ -49,7 +49,7 @@ def test_extras_survive_injection_and_codegen(name):
     """The non-evaluated functions (unistd raw I/O, sprintf family,
     getenv, …) go through the full phase-1 + codegen path without
     errors and with plausible outputs."""
-    report = FaultInjector(BY_NAME[name], max_vectors=400).run()
+    report = FaultInjector(BY_NAME[name], run=RunSpec(400)).run()
     declaration = declaration_from_report(report)
     assert declaration.name == name
     assert declaration.arity == report.prototype.ftype.arity

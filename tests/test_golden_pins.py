@@ -16,7 +16,7 @@ import pytest
 from repro.campaign.digest import outcome_digest
 from repro.campaign.store import report_to_payload
 from repro.faults import available_models
-from repro.injector import FaultInjector
+from repro.injector import FaultInjector, RunSpec
 from repro.libc.catalog import BALLISTA_SET, BY_NAME
 
 #: sha256 over the newline-joined outcome digests of BALLISTA_SET.
@@ -97,7 +97,7 @@ def test_every_model_is_pinned():
 
 @pytest.mark.parametrize("model", sorted(ARMED_DIGESTS))
 def test_armed_outcome_digests(model):
-    assert _digest_sha(fault_models=(model,)) == ARMED_DIGESTS[model]
+    assert _digest_sha(run=RunSpec(fault_models=(model,))) == ARMED_DIGESTS[model]
 
 
 @pytest.mark.parametrize("name", sorted(PAYLOADS))
@@ -107,11 +107,11 @@ def test_report_payload_bytes(name, plan):
 
 
 def test_faulted_report_payload_bytes():
-    assert _payload_sha("fopen", fault_models=available_models()) == FOPEN_ALL_MODELS
+    assert _payload_sha("fopen", run=RunSpec(fault_models=available_models())) == FOPEN_ALL_MODELS
 
 
 @pytest.mark.parametrize("name", sorted(FORMAT_AND_ARRAY_PAYLOADS))
 def test_format_and_array_payload_bytes(name):
     unarmed, armed = FORMAT_AND_ARRAY_PAYLOADS[name]
     assert _payload_sha(name) == unarmed
-    assert _payload_sha(name, fault_models=available_models()) == armed
+    assert _payload_sha(name, run=RunSpec(fault_models=available_models())) == armed

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.injector import FaultInjector, inject_function
+from repro.injector import FaultInjector, RunSpec, inject_function
 from repro.libc.catalog import BY_NAME, CONSISTENT, INCONSISTENT, NONE_FOUND, VOID
 
 
@@ -76,7 +76,7 @@ class TestVectorEnumeration:
         assert len(vectors) == len(templates[0]) * len(templates[1])
 
     def test_capped_enumeration_includes_sweeps(self):
-        injector = FaultInjector(BY_NAME["fwrite"], max_vectors=300)
+        injector = FaultInjector(BY_NAME["fwrite"], run=RunSpec(300))
         templates = [
             [t for g in gens for t in g.templates()] for gens in injector.generators
         ]

@@ -16,6 +16,7 @@ import random
 from repro.generators.select import generators_for
 from repro.injector import (
     FaultInjector,
+    RunSpec,
     SnapshotLadder,
     clear_plan_cache,
     compile_plan,
@@ -184,8 +185,9 @@ class TestGoldenEquivalence:
         for _ in range(6):
             name = rng.choice(["fwrite", "qsort", "fopen", "strtok"])
             max_vectors = rng.choice([17, 60, 150, 333])
-            naive = inject_function(name, plan=None, max_vectors=max_vectors)
-            planned = inject_function(name, plan="private", max_vectors=max_vectors)
+            run = RunSpec(max_vectors=max_vectors)
+            naive = inject_function(name, plan=None, run=run)
+            planned = inject_function(name, plan="private", run=run)
             assert planned == naive, f"{name} max_vectors={max_vectors}"
             # The sweeps are never truncated (every template must run
             # at least once); only the sample honours the cap, so a

@@ -25,10 +25,10 @@ def slow_injection(monkeypatch):
     release = threading.Event()
     real = handlers_mod._run_injection
 
-    def hung(name, telemetry=None, max_vectors=1200, fault_models=()):
+    def hung(name, *args, **kwargs):
         if not release.wait(timeout=30):
             raise TimeoutError("test never released the hung injection")
-        return real(name, telemetry, max_vectors, fault_models)
+        return real(name, *args, **kwargs)
 
     monkeypatch.setattr(handlers_mod, "_run_injection", hung)
     yield release
@@ -105,10 +105,10 @@ class TestDeadlines:
         real = handlers_mod._run_injection
         runs = []
 
-        def slow(name, telemetry=None, max_vectors=1200, fault_models=()):
+        def slow(name, *args, **kwargs):
             runs.append(name)
             time.sleep(0.5)
-            return real(name, telemetry, max_vectors, fault_models)
+            return real(name, *args, **kwargs)
 
         monkeypatch.setattr(handlers_mod, "_run_injection", slow)
         handle = serve_in_thread(

@@ -242,10 +242,10 @@ class TestSingleFlight:
         real = handlers_mod._run_injection
         runs = []
 
-        def counting(name, telemetry=None, max_vectors=1200, fault_models=()):
+        def counting(name, *args, **kwargs):
             runs.append(name)
             time.sleep(0.2)  # hold the flight open for the waiters
-            return real(name, telemetry, max_vectors, fault_models)
+            return real(name, *args, **kwargs)
 
         monkeypatch.setattr(handlers_mod, "_run_injection", counting)
         handle = serve_in_thread(
