@@ -66,7 +66,6 @@ class CampaignConfig:
     resume: bool = False
     timeout: Optional[float] = DEFAULT_TASK_TIMEOUT
     task_retries: int = DEFAULT_TASK_RETRIES
-    seed: int = 0
     #: The vector cap and armed fault models every function runs
     #: under; its digest block keys the outcome store.
     run: RunSpec = RunSpec()
@@ -163,7 +162,6 @@ def run_fleet(
     *,
     campaign: str,
     workers: int,
-    seed: int = 0,
     run: RunSpec,
     timeout: Optional[float] = DEFAULT_TASK_TIMEOUT,
     task_retries: int = DEFAULT_TASK_RETRIES,
@@ -189,7 +187,7 @@ def run_fleet(
         return run_remote_fleet(
             names, digests, campaign=campaign,
             workers=clamp_jobs(workers, len(names), "remote", telemetry),
-            seed=seed, run=run, timeout=timeout,
+            run=run, timeout=timeout,
             task_retries=task_retries, telemetry=telemetry,
             on_result=on_result, cache_dir=cache_dir, address=address,
         )
@@ -198,12 +196,11 @@ def run_fleet(
     return run_tasks(
         names,
         functools.partial(
-            run_function, digests=dict(digests), seed=seed, run=run,
+            run_function, digests=dict(digests), run=run
         ),
         jobs=workers,
         timeout=timeout,
         task_retries=task_retries,
-        seed=seed,
         telemetry=telemetry,
         on_result=on_result,
     )
@@ -335,7 +332,6 @@ class CampaignRunner:
                     digests,
                     campaign=ident,
                     workers=requested,
-                    seed=config.seed,
                     run=config.run,
                     timeout=config.timeout,
                     task_retries=config.task_retries,

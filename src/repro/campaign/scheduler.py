@@ -9,9 +9,9 @@ processes`` and the sharded Ballista sweep.
 * **Deterministic sharding** — :func:`plan_shards` stripes the task
   list round-robin; dispatch order interleaves the shards so early
   tasks spread across workers.  Workers *steal* from a shared queue
-  for load balance; because every task is re-seeded from the campaign
-  seed and its own name (:func:`reseed`), results are bit-identical no
-  matter which worker executes a task or in what order tasks finish.
+  for load balance; because every task is re-seeded from its own name
+  (:func:`reseed`), results are bit-identical no matter which worker
+  executes a task or in what order tasks finish.
 * **Per-task timeout** — the parent timestamps every task start; a
   worker that exceeds the deadline is killed, the task retried on a
   fresh worker (bounded by ``task_retries``) or marked ``failed``.
@@ -174,15 +174,15 @@ def clamp_jobs(
     return width
 
 
-def task_seed(campaign_seed: int, name: str) -> int:
+def task_seed(name: str) -> int:
     """Stable per-task seed: independent of worker, shard, and
     completion order, so parallel runs reproduce serial ones bit for
     bit even if a task's implementation draws randomness."""
-    return (campaign_seed & 0xFFFFFFFF) ^ zlib.crc32(name.encode("utf-8"))
+    return zlib.crc32(name.encode("utf-8"))
 
 
-def reseed(campaign_seed: int, name: str) -> None:
-    random.seed(task_seed(campaign_seed, name))
+def reseed(name: str) -> None:
+    random.seed(task_seed(name))
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +215,7 @@ def maybe_chaos_exit(completed: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _pool_worker(worker, campaign_seed, task_q, conn):
+def _pool_worker(worker, task_q, conn):
     """Worker loop: announce, execute, report; never raises.
 
     All sends share one lock because the heartbeat thread writes the
@@ -248,7 +248,7 @@ def _pool_worker(worker, campaign_seed, task_q, conn):
             send(("start", name, _attempt))
             started = time.perf_counter()
             try:
-                reseed(campaign_seed, name)
+                reseed(name)
                 payload = worker(name)
             except BaseException:
                 send(("err", name, _attempt, traceback.format_exc(limit=20)))
@@ -274,7 +274,6 @@ def _pool_worker(worker, campaign_seed, task_q, conn):
 def _run_inline(
     names: Sequence[str],
     worker: Callable[[str], dict],
-    seed: int,
     task_retries: int,
     telemetry,
     on_result,
@@ -288,7 +287,7 @@ def _run_inline(
             _attempt = attempts
             started = time.perf_counter()
             try:
-                reseed(seed, name)
+                reseed(name)
                 payload = worker(name)
             except Exception:
                 if attempts <= task_retries:
@@ -329,7 +328,6 @@ def run_tasks(
     jobs: int = 1,
     timeout: Optional[float] = DEFAULT_TASK_TIMEOUT,
     task_retries: int = DEFAULT_TASK_RETRIES,
-    seed: int = 0,
     telemetry=NULL_TELEMETRY,
     on_result: Optional[Callable[[TaskResult], None]] = None,
     heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
@@ -348,7 +346,7 @@ def run_tasks(
     if len(set(names)) != len(names):
         raise ValueError("duplicate task names")
     if jobs <= 1:
-        return _run_inline(names, worker, seed, task_retries, telemetry, on_result)
+        return _run_inline(names, worker, task_retries, telemetry, on_result)
 
     methods = mp.get_all_start_methods()
     ctx = mp.get_context("fork" if "fork" in methods else "spawn")
@@ -362,7 +360,7 @@ def run_tasks(
         receiver, sender = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_pool_worker,
-            args=(worker, seed, task_q, sender),
+            args=(worker, task_q, sender),
             daemon=True,
         )
         process.start()

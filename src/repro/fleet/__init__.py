@@ -15,7 +15,7 @@ serial
     v1 protocol, results streaming into the shared content-addressed
     outcome store (:mod:`repro.fleet.remote`).
 
-Every mode reseeds per function from the campaign seed, so campaign
+Every mode reseeds per function from the function's name, so campaign
 output is bit-identical to serial execution no matter the transport,
 the worker count, or how many workers died along the way.
 :func:`run_fleet` (defined next to the campaign runner, which calls
@@ -60,7 +60,6 @@ def build_shards(
     workers: int,
     *,
     campaign: str,
-    seed: int,
     run: RunSpec,
 ) -> list[ShardSpec]:
     """Stripe the campaign's functions into up to ``workers`` shards
@@ -71,7 +70,6 @@ def build_shards(
         ShardSpec.build(
             shard_id=f"{campaign}/{index}",
             campaign=campaign,
-            seed=seed,
             run=run,
             functions=stripe,
             digests=[digests[name] for name in stripe],

@@ -458,7 +458,6 @@ class ShardBroker:
         return ShardSpec.build(
             shard_id=job.mint_shard_id(),
             campaign=job.campaign,
-            seed=template.seed,
             run=template.run,
             functions=functions,
             digests=[template.digest_for(n) for n in functions],

@@ -78,7 +78,6 @@ def run_remote_fleet(
     *,
     campaign: str,
     workers: int,
-    seed: int = 0,
     run: RunSpec,
     timeout: Optional[float] = None,   # lease-granular in remote mode
     task_retries: int = DEFAULT_TASK_RETRIES,
@@ -130,7 +129,7 @@ def run_remote_fleet(
     client = ServiceClient(host, port, retries=4)
     try:
         shards = build_shards(
-            names, digests, workers, campaign=campaign, seed=seed, run=run,
+            names, digests, workers, campaign=campaign, run=run
         )
         submitted = client.fleet_submit(
             [s.encode() for s in shards], task_retries=task_retries

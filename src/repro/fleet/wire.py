@@ -1,4 +1,4 @@
-"""The fleet wire format, version 4.
+"""The fleet wire format, version 5.
 
 A campaign shard is the fleet's unit of work: an ordered slice of a
 campaign's function list plus everything a worker in *another process
@@ -8,9 +8,6 @@ experiment bit for bit:
 * the **campaign identity** and per-function **outcome digests**
   (:func:`~repro.campaign.digest.outcome_digest`), so a worker's
   results land on the same content addresses the parent planned;
-* the **campaign seed** — workers re-seed per function with
-  :func:`~repro.campaign.scheduler.task_seed`, making results
-  independent of which worker runs what, in what order;
 * the **run** (:class:`~repro.injector.RunSpec`: the vector cap and
   the armed fault models as canonical spec strings), so a worker
   injects under exactly the run the parent's digests were planned
@@ -24,8 +21,11 @@ experiment bit for bit:
 
 Version 2 added ``fault_models`` and the ``faults`` fingerprint.
 Version 3 added a sampling policy and its fingerprint; version 4
-removed both again (injection is always exhaustive).  A shard of any
-other version (or an old worker handed a newer shard) is refused
+removed both again (injection is always exhaustive).  Version 5
+dropped the campaign ``seed``: no injection code drew from it, and
+workers re-seed per function from its name alone
+(:func:`~repro.campaign.scheduler.task_seed`).  A shard of any other
+version (or an old worker handed a newer shard) is refused
 outright rather than guessed at.
 
 Shards serialize to plain JSON objects (:meth:`ShardSpec.encode` /
@@ -56,7 +56,8 @@ from repro.typelattice import LATTICE_VERSION
 #: v2: shards carry ``fault_models``; fingerprints carry ``faults``.
 #: v3: shards and fingerprints carried ``sampling``.
 #: v4: ``sampling`` removed from both.
-WIRE_VERSION = 4
+#: v5: shards lost the campaign ``seed``.
+WIRE_VERSION = 5
 
 #: The fleet modes ``campaign run --fleet`` accepts.
 FLEET_MODES = ("processes", "remote")
@@ -105,7 +106,6 @@ class ShardSpec:
 
     shard_id: str
     campaign: str
-    seed: int
     run: RunSpec                   # every function runs under it
     functions: tuple[str, ...]
     digests: tuple[str, ...]       # parallel to ``functions``
@@ -117,7 +117,6 @@ class ShardSpec:
         cls,
         shard_id: str,
         campaign: str,
-        seed: int,
         run: RunSpec,
         functions: Sequence[str],
         digests: Sequence[str],
@@ -138,7 +137,6 @@ class ShardSpec:
         return cls(
             shard_id=str(shard_id),
             campaign=str(campaign),
-            seed=int(seed),
             run=run,
             functions=functions,
             digests=digests,
@@ -153,7 +151,6 @@ class ShardSpec:
             "wire": WIRE_VERSION,
             "shard_id": self.shard_id,
             "campaign": self.campaign,
-            "seed": self.seed,
             **self.run.to_wire(),
             "functions": list(self.functions),
             "digests": list(self.digests),
@@ -179,7 +176,6 @@ class ShardSpec:
             return cls.build(
                 shard_id=str(document["shard_id"]),
                 campaign=str(document["campaign"]),
-                seed=int(document["seed"]),
                 run=RunSpec.from_wire(document),
                 functions=functions,
                 digests=digests,

@@ -1,8 +1,8 @@
 """What a fleet worker actually runs, regardless of transport.
 
 :func:`execute_function` is the single execution path every fleet mode
-shares: re-seed from the campaign seed and the function name (exactly
-as the serial engine does), run the injector, and serialize the report
+shares: re-seed from the function name (exactly as the serial engine
+does), run the injector, and serialize the report
 worker-side so only a JSON-able payload crosses the process or network
 boundary.  Bit-identical campaign output in every mode follows from
 this function being the only way work runs.  :func:`run_function`
@@ -49,20 +49,19 @@ def default_worker_name() -> str:
 def execute_function(
     name: str,
     digest: str,
-    seed: int,
     run: RunSpec,
     attempt: int = 1,
     worker: str = "",
 ) -> FunctionResult:
-    """Run one function's injector under the campaign's per-task seed
-    and return its wire-encoded outcome (never raises)."""
+    """Run one function's injector under its per-task seed and return
+    its wire-encoded outcome (never raises)."""
     import traceback
 
     started = time.perf_counter()
     try:
         from repro.campaign.runner import _inject_payload
 
-        reseed(seed, name)
+        reseed(name)
         payload = _inject_payload(name, run)
     except BaseException:
         return FunctionResult(
@@ -89,14 +88,13 @@ def run_function(
     name: str,
     *,
     digests: dict[str, str],
-    seed: int,
     run: RunSpec,
 ) -> dict:
     """The :func:`~repro.campaign.scheduler.run_tasks` worker: one
     function through :func:`execute_function`, returning its payload.
     A failed result raises, so the pool retries it within its budget."""
     result = execute_function(
-        name, digests[name], seed, run, attempt=current_attempt()
+        name, digests[name], run, attempt=current_attempt()
     )
     if not result.ok:
         raise RuntimeError(result.error)
@@ -118,7 +116,7 @@ def execute_shard(
         shard.functions, shard.digests, shard.attempts
     ):
         result = execute_function(
-            name, digest, shard.seed, shard.run, attempt=attempt, worker=worker
+            name, digest, shard.run, attempt=attempt, worker=worker
         )
         results.append(result)
         if on_result is not None:

@@ -72,7 +72,6 @@ class TestWire:
         shard = ShardSpec.build(
             shard_id="c/0",
             campaign="c",
-            seed=0,
             run=RunSpec(MAX_VECTORS, ("resource", "signal:offsets=1|64")),
             functions=("abs",),
             digests=("d",),

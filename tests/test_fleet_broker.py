@@ -28,7 +28,6 @@ def make_shards(
         ShardSpec.build(
             shard_id=f"{campaign}/{i}",
             campaign=campaign,
-            seed=0,
             run=run,
             functions=stripe,
             digests=[f"d-{n}" for n in stripe],

@@ -30,7 +30,7 @@ needs_fork = pytest.mark.skipif(
 def serial_payloads():
     """The ground truth: every function executed serially in-process."""
     return {
-        name: execute_function(name, DIGESTS[name], 0, RUN).payload
+        name: execute_function(name, DIGESTS[name], RUN).payload
         for name in FUNCTIONS
     }
 
@@ -39,7 +39,6 @@ def run_fleet_payloads(telemetry=None, **overrides):
     options = dict(
         campaign="test-fleet",
         workers=2,
-        seed=0,
         run=RUN,
         timeout=60.0,
         task_retries=1,

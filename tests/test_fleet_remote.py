@@ -47,7 +47,6 @@ def make_shards(campaign, functions=FUNCTIONS, digests=None):
         ShardSpec.build(
             shard_id=f"{campaign}/0",
             campaign=campaign,
-            seed=0,
             run=RUN,
             functions=functions,
             digests=[digests[n] for n in functions],
@@ -72,7 +71,7 @@ def drive_worker(client, worker_id, campaign):
         shard = ShardSpec.decode(doc)
         for name in shard.functions:
             result = execute_function(
-                name, shard.digest_for(name), shard.seed, shard.run,
+                name, shard.digest_for(name), shard.run,
                 shard.attempt_for(name), worker=worker_id,
             )
             client.worker_result(
@@ -138,7 +137,7 @@ class TestLeaseExpiry:
         # The survivor finishes the retry shard it already holds.
         for name in retry.functions:
             result = execute_function(
-                name, retry.digest_for(name), retry.seed, retry.run,
+                name, retry.digest_for(name), retry.run,
                 retry.attempt_for(name), worker=survivor,
             )
             client.worker_result(
@@ -183,7 +182,7 @@ class TestRunRemoteFleet:
         digests = {n: f"digest-e2e-{n}" for n in FUNCTIONS}
         serial = {
             name: execute_function(
-                name, digests[name], 0, RUN
+                name, digests[name], RUN
             ).payload
             for name in FUNCTIONS
         }
@@ -191,7 +190,6 @@ class TestRunRemoteFleet:
             FUNCTIONS, digests,
             campaign="remote-e2e",
             workers=2,
-            seed=0,
             run=RUN,
             task_retries=1,
             cache_dir=tmp_path / "store",

@@ -23,7 +23,6 @@ def make_shard(**overrides):
     spec = dict(
         shard_id="camp/0",
         campaign="camp",
-        seed=7,
         run=RunSpec(max_vectors=24),
         functions=["strcpy", "memcpy"],
         digests=["d-strcpy", "d-memcpy"],
@@ -55,7 +54,6 @@ class TestShardRoundTrip:
 
     def test_digest_sees_every_field(self):
         base = make_shard()
-        assert make_shard(seed=8).digest() != base.digest()
         assert make_shard(run=RunSpec(max_vectors=25)).digest() != base.digest()
         assert make_shard(attempts=[2, 1]).digest() != base.digest()
         assert make_shard(shard_id="camp/1").digest() != base.digest()
@@ -91,12 +89,14 @@ class TestShardValidation:
         v3["wire"] = 3
         v3["sampling"] = "adaptive:confidence=0.99"
         v3["fingerprints"] = dict(v3["fingerprints"], sampling=1)
-        for doc in (newer, v3):
+        # A v4 shard carried a campaign seed that v5 workers ignore.
+        v4 = dict(make_shard().encode(), wire=4, seed=0)
+        for doc in (newer, v3, v4):
             with pytest.raises(WireError, match="wire version"):
                 ShardSpec.decode(doc)
 
     @pytest.mark.parametrize(
-        "missing", ["shard_id", "campaign", "functions", "digests", "seed"]
+        "missing", ["shard_id", "campaign", "functions", "digests", "max_vectors"]
     )
     def test_missing_field_refused(self, missing):
         doc = make_shard().encode()
@@ -154,7 +154,7 @@ class TestBuildShards:
         names = [f"fn{i}" for i in range(5)]
         digests = {n: f"d-{n}" for n in names}
         shards = build_shards(
-            names, digests, 2, campaign="c", seed=1, run=RunSpec(max_vectors=10)
+            names, digests, 2, campaign="c", run=RunSpec(max_vectors=10)
         )
         assert [list(s.functions) for s in shards] == [
             ["fn0", "fn2", "fn4"], ["fn1", "fn3"]
@@ -180,9 +180,11 @@ PINNED_FINGERPRINTS = {
 }
 
 #: sha256 of the canonical encoding; ShardSpec.digest() must equal it.
+#: v5 moved these: ``wire`` went 4 -> 5 and ``seed`` was dropped;
+#: every other key kept its bytes.
 WIRE_PINS = {
-    "unarmed": "8352672b812da6790f9306e127f462f17ee3e437b9cfb61bc9e60833c2500e22",
-    "resource": "43cfc10ac6d9ec68e6828106d1eaf5aff143f87bdb42c8d5e76681e3660c9046",
+    "unarmed": "503b27da9a3f3730a483f24db59f8ce7a0a04477f028bcc0b7618a9a48028842",
+    "resource": "7134759bb59aa3e219b63f87e572c2a7bd50871446109ddcaafa962ac631e7fd",
 }
 
 
@@ -190,7 +192,6 @@ def _pinned_shard(fault_models):
     return ShardSpec.build(
         shard_id="pin/0",
         campaign="pin",
-        seed=0,
         run=RunSpec(max_vectors=1200, fault_models=fault_models),
         functions=["strcpy", "fopen"],
         digests=["d-strcpy", "d-fopen"],
