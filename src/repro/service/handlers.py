@@ -28,7 +28,6 @@ hands out.  Without a store nothing is memoized.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +39,7 @@ from repro.campaign.store import OutcomeStore, report_to_payload
 from repro.cdecl import DeclarationParser, typedef_table
 from repro.fleet.broker import DEFAULT_LEASE_TTL, BrokerError, ShardBroker
 from repro.fleet.wire import FunctionResult, ShardSpec, WireError
-from repro.injector import FaultInjector, InjectionReport, MAX_VECTORS, RunSpec
+from repro.injector import FaultInjector, InjectionReport, RunSpec
 from repro.libc.catalog import BALLISTA_SET, BY_NAME, CATALOG
 from repro.obs import Telemetry
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -75,7 +74,6 @@ class ServiceState:
         max_queue: int = 32,
         rate: float = 0.0,
         burst: float = 1.0,
-        max_vectors: int = MAX_VECTORS,
         telemetry: Optional[Telemetry] = None,
         ledger: Optional[Path | str] = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -100,7 +98,6 @@ class ServiceState:
         self.store = OutcomeStore(cache_dir) if cache_dir is not None else None
         self.singleflight = SingleFlight()
         self.workers = workers
-        self.max_vectors = max_vectors
         self.executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="healers-worker"
         )
@@ -167,10 +164,7 @@ class ServiceState:
             loop = asyncio.get_running_loop()
             report, payload = await loop.run_in_executor(
                 self.executor,
-                functools.partial(
-                    _run_injection, name, self.telemetry,
-                    dataclasses.replace(run, max_vectors=self.max_vectors),
-                ),
+                functools.partial(_run_injection, name, self.telemetry, run),
             )
             if self.store is not None:
                 self.store.put_payload(digest, payload)

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.injector import MAX_VECTORS
 from repro.obs import Telemetry
 from repro.service.admission import Overloaded
 from repro.service.handlers import CONTROL_OPS, HANDLERS, ServiceState
@@ -68,7 +67,6 @@ class ServiceConfig:
     burst: float = 1.0                   # token-bucket size
     default_deadline_ms: float = 60_000  # when the request names none
     cache_dir: Optional[Path] = None     # content-addressed outcome store
-    max_vectors: int = MAX_VECTORS
     drain_seconds: float = DEFAULT_DRAIN_SECONDS
     ledger: Optional[Path] = None        # results ledger (history op +
                                          # rollup on graceful shutdown)
@@ -90,7 +88,6 @@ class HealersService:
             max_queue=config.max_queue,
             rate=config.rate,
             burst=config.burst,
-            max_vectors=config.max_vectors,
             telemetry=telemetry,
             ledger=config.ledger,
             lease_ttl=config.lease_ttl,

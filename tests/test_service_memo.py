@@ -13,7 +13,10 @@ import pytest
 
 import repro.campaign.store as store_mod
 import repro.service.handlers as handlers_mod
+from repro.campaign.digest import outcome_digest
 from repro.campaign.store import OutcomeStore, report_from_payload
+from repro.injector import FaultInjector, RunSpec
+from repro.libc.catalog import BY_NAME
 from repro.service.handlers import HANDLERS, ServiceState
 
 #: One request per report-reading op, all answered from warm reports.
@@ -64,6 +67,22 @@ def state(tmp_path):
     service_state = ServiceState(cache_dir=tmp_path / "cache")
     yield service_state
     service_state.close()
+
+
+class TestRunIdentity:
+    @pytest.mark.parametrize("fault_models", [(), ("resource",)])
+    def test_inject_row_is_the_run_it_digests(self, state, fault_models):
+        # The row's digest and the injection behind it must come from
+        # one run: a daemon that injected under another cap stored a
+        # short report under the default digest.
+        run = RunSpec(fault_models=fault_models)
+        params = {"function": "strcpy"}
+        if fault_models:
+            params["fault_models"] = list(fault_models)
+        row = _call(state, "inject", params)
+        spec = BY_NAME["strcpy"]
+        assert row["digest"] == outcome_digest(spec, run)
+        assert row["vectors"] == FaultInjector(spec, run=run).run().vectors_run
 
 
 class TestMemo:
