@@ -206,12 +206,11 @@ class FaultInjector:
         telemetry=NULL_TELEMETRY,
         plan: Optional[str] = "shared",
     ) -> None:
-        if plan not in (None, "shared", "private"):
+        if plan not in (None, "shared"):
             raise ValueError(f"unknown plan mode: {plan!r}")
         #: "shared" uses the process-global plan cache plus snapshot
-        #: reuse and outcome memoization; "private" compiles an
-        #: uncached plan with the same execution engine; None runs the
-        #: naive engine (fresh fork + full materialization per call).
+        #: reuse and outcome memoization; None runs the naive engine
+        #: (fresh fork + full materialization per call).
         self.plan = plan
         self.spec = spec
         self.parser = parser or DeclarationParser(typedef_table())
@@ -264,11 +263,7 @@ class FaultInjector:
                 ladder = memo = None
                 vectors = list(self._enumerate_vectors(templates_per_arg))
             else:
-                shape = plan_shape(templates_per_arg)
-                if self.plan == "shared":
-                    plan = shared_plan(shape, self.max_vectors)
-                else:
-                    plan = compile_plan(shape, self.max_vectors)
+                plan = shared_plan(plan_shape(templates_per_arg), self.max_vectors)
                 vectors = plan.bind(templates_per_arg)
                 ladder = SnapshotLadder(base_runtime)
                 memo = ChainMemo()

@@ -214,14 +214,6 @@ class Lattice:
             if t not in self._index or not self.beaten_at(self._index[t], pool_mask)
         ]
 
-    def strongest(self, candidates: Iterable[TypeInstance]) -> list[TypeInstance]:
-        """Minimal elements among ``candidates``."""
-        pool = list(candidates)
-        below = 0  # everything some pool member lies strictly under
-        for t in pool:
-            below |= self._strict_up_of(t)
-        return [t for t in pool if not self.mask_of((t,)) & below]
-
     # -- mask view ---------------------------------------------------------
     def index(self, instance: TypeInstance) -> int:
         """Bit position of ``instance`` (KeyError when absent)."""

@@ -82,12 +82,6 @@ class ReferenceOrder:
             )
         ]
 
-    def strongest(self, candidates: Iterable[TypeInstance]) -> list[TypeInstance]:
-        pool = list(candidates)
-        return [
-            t for t in pool if not any(self.is_strict_subtype(other, t) for other in pool)
-        ]
-
 
 def reference_robust_type(
     observations: Iterable[Observation],

@@ -187,7 +187,10 @@ class TestGoldenEquivalence:
             max_vectors = rng.choice([17, 60, 150, 333])
             run = RunSpec(max_vectors=max_vectors)
             naive = inject_function(name, plan=None, run=run)
-            planned = inject_function(name, plan="private", run=run)
+            # A freshly compiled shared plan, not one cached by an
+            # earlier test at the same shape and cap.
+            clear_plan_cache()
+            planned = inject_function(name, plan="shared", run=run)
             assert planned == naive, f"{name} max_vectors={max_vectors}"
             # The sweeps are never truncated (every template must run
             # at least once); only the sample honours the cap, so a

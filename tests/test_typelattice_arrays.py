@@ -97,10 +97,6 @@ class TestHelpers:
         chain = [R.RW_FIXED(44), R.RW_ARRAY(44), R.R_ARRAY(44), R.R_ARRAY_NULL(44)]
         assert lattice.weakest(chain) == [R.R_ARRAY_NULL(44)]
 
-    def test_strongest_of_chain(self, lattice):
-        chain = [R.RW_ARRAY(44), R.R_ARRAY(44), R.R_ARRAY_NULL(44)]
-        assert lattice.strongest(chain) == [R.RW_ARRAY(44)]
-
     def test_weakest_keeps_incomparables(self, lattice):
         result = lattice.weakest([R.R_ARRAY(8), R.W_ARRAY(8)])
         assert set(result) == {R.R_ARRAY(8), R.W_ARRAY(8)}
