@@ -195,9 +195,7 @@ def run_fleet(
 
     return run_tasks(
         names,
-        functools.partial(
-            run_function, digests=dict(digests), run=run
-        ),
+        functools.partial(run_function, digests=dict(digests), run=run),
         jobs=workers,
         timeout=timeout,
         task_retries=task_retries,

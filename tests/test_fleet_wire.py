@@ -180,8 +180,6 @@ PINNED_FINGERPRINTS = {
 }
 
 #: sha256 of the canonical encoding; ShardSpec.digest() must equal it.
-#: v5 moved these: ``wire`` went 4 -> 5 and ``seed`` was dropped;
-#: every other key kept its bytes.
 WIRE_PINS = {
     "unarmed": "503b27da9a3f3730a483f24db59f8ce7a0a04477f028bcc0b7618a9a48028842",
     "resource": "7134759bb59aa3e219b63f87e572c2a7bd50871446109ddcaafa962ac631e7fd",
