@@ -5,7 +5,7 @@ the ratios to ``BENCH_injector.json`` (archived by the CI
 ``injector-bench`` job):
 
 * **seed** — per-byte reference models
-  (:mod:`repro.libc.reference_strings`) through the naive engine
+  (``tests/strings_reference.py``) through the naive engine
   (``plan=None``): the state of the pipeline before this change;
 * **naive** — current bulk models, naive engine: isolates the model
   conversion win;
@@ -25,16 +25,15 @@ Two properties are asserted, not just recorded:
 from __future__ import annotations
 
 import dataclasses
-import random
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.injector import FaultInjector, clear_plan_cache
-from repro.libc import reference_strings
 from repro.libc.catalog import BY_NAME
 from repro.obs import export_bench_json
+from tests import strings_reference
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_injector.json"
 
@@ -55,14 +54,13 @@ def _run_campaign(plan) -> tuple[float, list]:
     reports = []
     started = time.perf_counter()
     for name in BENCH_FUNCTIONS:
-        random.seed(20260805)
         reports.append(FaultInjector(BY_NAME[name], plan=plan).run())
     return time.perf_counter() - started, reports
 
 
 def _seed_models(patch: pytest.MonkeyPatch) -> None:
     """Pin every converted model back to its per-byte reference."""
-    for name, reference in reference_strings.REFERENCE_MODELS.items():
+    for name, reference in strings_reference.REFERENCE_MODELS.items():
         patch.setitem(
             BY_NAME, name, dataclasses.replace(BY_NAME[name], model=reference)
         )

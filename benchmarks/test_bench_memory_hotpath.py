@@ -16,14 +16,13 @@ asserted from memory:
   substrate (eager forks + per-byte scans), recorded so the e2e win
   is measured; floor is advisory-only because small hosts add noise.
 
-The reference implementations live in :mod:`repro.memory.reference`
+The reference implementations live in ``tests/memory_reference.py``
 and are proven observationally identical in tests/test_memory_cow.py;
 this file only measures them.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from pathlib import Path
 
@@ -33,8 +32,8 @@ from repro.injector import FaultInjector
 from repro.libc import common
 from repro.libc.catalog import BY_NAME
 from repro.memory import AddressSpace
-from repro.memory import reference
 from repro.obs import export_bench_json
+from tests import memory_reference as reference
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_memory.json"
 
@@ -109,7 +108,6 @@ def test_memory_hotpath_bench():
     # ---------------------------------------------------- end to end
     def run_catalog() -> None:
         for name in E2E_FUNCTIONS:
-            random.seed(20260805)
             FaultInjector(BY_NAME[name]).run()
 
     # Warm every cache both legs share (lattice memo, import side

@@ -38,7 +38,6 @@ from repro.campaign.scheduler import (
     effective_jobs,
     plan_shards,
     run_tasks,
-    task_seed,
 )
 from repro.campaign.store import (
     CleanStats,
@@ -74,5 +73,4 @@ __all__ = [
     "report_to_payload",
     "run_tasks",
     "spec_fingerprint",
-    "task_seed",
 ]

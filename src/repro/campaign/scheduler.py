@@ -9,9 +9,10 @@ processes`` and the sharded Ballista sweep.
 * **Deterministic sharding** — :func:`plan_shards` stripes the task
   list round-robin; dispatch order interleaves the shards so early
   tasks spread across workers.  Workers *steal* from a shared queue
-  for load balance; because every task is re-seeded from its own name
-  (:func:`reseed`), results are bit-identical no matter which worker
-  executes a task or in what order tasks finish.
+  for load balance; because no code under ``src/`` draws from the
+  global ``random`` module (``tests/test_no_global_random.py`` scans
+  for it), results are bit-identical no matter which worker executes
+  a task or in what order tasks finish.
 * **Per-task timeout** — the parent timestamps every task start; a
   worker that exceeds the deadline is killed, the task retried on a
   fresh worker (bounded by ``task_retries``) or marked ``failed``.
@@ -48,12 +49,10 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import random
 import signal
 import threading
 import time
 import traceback
-import zlib
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Callable, Optional, Sequence
@@ -174,17 +173,6 @@ def clamp_jobs(
     return width
 
 
-def task_seed(name: str) -> int:
-    """Stable per-task seed: independent of worker, shard, and
-    completion order, so parallel runs reproduce serial ones bit for
-    bit even if a task's implementation draws randomness."""
-    return zlib.crc32(name.encode("utf-8"))
-
-
-def reseed(name: str) -> None:
-    random.seed(task_seed(name))
-
-
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
@@ -248,7 +236,6 @@ def _pool_worker(worker, task_q, conn):
             send(("start", name, _attempt))
             started = time.perf_counter()
             try:
-                reseed(name)
                 payload = worker(name)
             except BaseException:
                 send(("err", name, _attempt, traceback.format_exc(limit=20)))
@@ -287,7 +274,6 @@ def _run_inline(
             _attempt = attempts
             started = time.perf_counter()
             try:
-                reseed(name)
                 payload = worker(name)
             except Exception:
                 if attempts <= task_retries:

@@ -26,16 +26,8 @@ class CType:
 
     # Convenience predicates used throughout the pipeline -------------
     @property
-    def is_pointer(self) -> bool:
-        return isinstance(self, PointerType)
-
-    @property
     def is_void(self) -> bool:
         return isinstance(self, BaseType) and self.name == "void"
-
-    @property
-    def is_function(self) -> bool:
-        return isinstance(self, FunctionType)
 
     def unqualified(self) -> "CType":
         """The same type with top-level ``const`` stripped."""
@@ -65,30 +57,8 @@ class BaseType(CType):
         return BaseType(self.name) if self.const else self
 
     @property
-    def is_integral(self) -> bool:
-        integral = {
-            "char",
-            "signed char",
-            "unsigned char",
-            "short",
-            "unsigned short",
-            "int",
-            "unsigned int",
-            "long",
-            "unsigned long",
-            "long long",
-            "unsigned long long",
-            "_Bool",
-        }
-        return self.name in integral
-
-    @property
     def is_floating(self) -> bool:
         return self.name in {"float", "double", "long double"}
-
-    @property
-    def is_record(self) -> bool:
-        return self.name.startswith(("struct ", "union ", "enum "))
 
 
 @dataclass(frozen=True)
@@ -106,10 +76,6 @@ class PointerType(CType):
         if isinstance(self.pointee, (ArrayType, FunctionType)):
             return self.pointee.render(f"({inner})")
         return self.pointee.render(inner)
-
-    @property
-    def pointee_is_const(self) -> bool:
-        return isinstance(self.pointee, BaseType) and self.pointee.const
 
 
 @dataclass(frozen=True)

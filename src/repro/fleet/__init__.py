@@ -15,9 +15,9 @@ serial
     v1 protocol, results streaming into the shared content-addressed
     outcome store (:mod:`repro.fleet.remote`).
 
-Every mode reseeds per function from the function's name, so campaign
-output is bit-identical to serial execution no matter the transport,
-the worker count, or how many workers died along the way.
+No code under ``src/`` draws from the global ``random`` module, so
+campaign output is bit-identical to serial execution no matter the
+transport, the worker count, or how many workers died along the way.
 :func:`run_fleet` (defined next to the campaign runner, which calls
 it) is the single entry point.
 """

@@ -15,7 +15,7 @@ number of remote workers (``worker.register`` / ``worker.lease`` /
 * **At-least-once, first-report-wins.**  An expired worker may still
   be running; if its late results arrive after a retry was queued they
   are accepted iff the function is not already terminal.  Because
-  every attempt re-seeds identically (bit-identical results), which
+  every attempt is deterministic (bit-identical results), which
   report lands first does not change campaign output.
 * **Bounded retries.**  Each function carries its attempt number in
   the shard; once attempts exceed ``task_retries + 1`` the function is

@@ -22,11 +22,9 @@ experiment bit for bit:
 Version 2 added ``fault_models`` and the ``faults`` fingerprint.
 Version 3 added a sampling policy and its fingerprint; version 4
 removed both again (injection is always exhaustive).  Version 5
-dropped the campaign ``seed``: no injection code drew from it, and
-workers re-seed per function from its name alone
-(:func:`~repro.campaign.scheduler.task_seed`).  A shard of any other
-version (or an old worker handed a newer shard) is refused
-outright rather than guessed at.
+dropped the campaign ``seed``: no injection code drew from it.  A
+shard of any other version (or an old worker handed a newer shard) is
+refused outright rather than guessed at.
 
 Shards serialize to plain JSON objects (:meth:`ShardSpec.encode` /
 :meth:`ShardSpec.decode`) so they travel both the ``multiprocessing``

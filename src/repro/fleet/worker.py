@@ -1,8 +1,7 @@
 """What a fleet worker actually runs, regardless of transport.
 
 :func:`execute_function` is the single execution path every fleet mode
-shares: re-seed from the function name (exactly as the serial engine
-does), run the injector, and serialize the report
+shares: run the injector and serialize the report
 worker-side so only a JSON-able payload crosses the process or network
 boundary.  Bit-identical campaign output in every mode follows from
 this function being the only way work runs.  :func:`run_function`
@@ -33,7 +32,6 @@ from repro.campaign.scheduler import (  # noqa: F401 - CHAOS_ENV re-exported
     CHAOS_ENV,
     current_attempt,
     maybe_chaos_exit,
-    reseed,
 )
 from repro.fleet.wire import FunctionResult, ShardSpec, fleet_fingerprints
 from repro.injector import RunSpec
@@ -53,15 +51,14 @@ def execute_function(
     attempt: int = 1,
     worker: str = "",
 ) -> FunctionResult:
-    """Run one function's injector under its per-task seed and return
-    its wire-encoded outcome (never raises)."""
+    """Run one function's injector and return its wire-encoded outcome
+    (never raises)."""
     import traceback
 
     started = time.perf_counter()
     try:
         from repro.campaign.runner import _inject_payload
 
-        reseed(name)
         payload = _inject_payload(name, run)
     except BaseException:
         return FunctionResult(

@@ -144,10 +144,6 @@ class AdaptiveArrayTemplate(TestCaseTemplate):
         return True
 
 
-def _round_up(value: int, step: int) -> int:
-    return ((value + step - 1) // step) * step
-
-
 class FixedArrayGenerator(TestCaseGenerator):
     """Figure 3's generator: NULL, INVALID and three adaptive buffers."""
 

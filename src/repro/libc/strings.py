@@ -16,8 +16,8 @@ memory mutations (a faulting copy leaves exactly the prefix the
 per-byte loop wrote), the same fault addresses, and the same watchdog
 step counts — including the Hang-before-fault ordering when the step
 budget runs out mid-loop.  The original per-byte loops are preserved
-in :mod:`repro.libc.reference_strings` and the equivalence is enforced
-by ``tests/test_strings_equivalence.py`` over every budget cutoff.
+in ``tests/strings_reference.py`` and the equivalence is enforced by
+``tests/test_strings_equivalence.py`` over every budget cutoff.
 
 The step arithmetic below leans on one invariant of the reference
 loops: every simulated byte access is one ``step()`` followed by one

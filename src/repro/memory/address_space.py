@@ -56,11 +56,7 @@ class AddressSpace:
 
     The implementation keeps regions in a list sorted by base address
     and locates the region for an access with binary search, so lookups
-    are ``O(log n)`` in the number of live regions.  A one-entry
-    lookup cache short-circuits the search for the common case of
-    repeated accesses into the same region (string scans, memcpy
-    loops); it is invalidated by anything that changes the mapping
-    table (``map``/``unmap``/``protect``).
+    are ``O(log n)`` in the number of live regions.
     """
 
     def __init__(self, page_size: int = PAGE_SIZE) -> None:
@@ -68,7 +64,6 @@ class AddressSpace:
         self._bases: list[int] = []
         self._regions: list[Region] = []
         self._next_base = FIRST_ADDRESS
-        self._lookup_cache: Optional[Region] = None
         #: Mapping generation: monotonically bumped by anything that can
         #: change an accessibility decision — map/unmap/protect here and
         #: Heap.free — so validity caches (the wrapper's revalidation
@@ -112,35 +107,6 @@ class AddressSpace:
         index = bisect.bisect_left(self._bases, base)
         self._bases.insert(index, base)
         self._regions.insert(index, region)
-        self._lookup_cache = None
-        self.generation += 1
-        return region
-
-    def map_at_end_of_page(
-        self,
-        size: int,
-        prot: Protection = Protection.RW,
-        kind: RegionKind = RegionKind.TEST,
-        label: str = "",
-    ) -> Region:
-        """Map a region whose *end* coincides with a page boundary.
-
-        Mirrors the classic fault-injection trick of placing a buffer
-        flush against the end of a page so the very first byte past the
-        buffer faults.  With our per-region bounds checking any region
-        has this property, but the distinct base alignment is kept for
-        fidelity and for the page-probing ablation.
-        """
-        region = self.map_region(round_up_to_page(max(size, 1)), prot, kind, label)
-        # Shrink the region from the front so that it ends exactly on
-        # the original page boundary.
-        excess = region.size - size
-        region.base += excess
-        region.size = size
-        region.data = region.data[excess:] if size else bytearray()
-        index = self._regions.index(region)
-        self._bases[index] = region.base
-        self._lookup_cache = None
         self.generation += 1
         return region
 
@@ -151,35 +117,25 @@ class AddressSpace:
             raise ValueError("region is not mapped in this address space")
         del self._bases[index]
         del self._regions[index]
-        self._lookup_cache = None
         self.generation += 1
 
     def protect(self, region: Region, prot: Protection) -> None:
         """Change a live region's protection (simulated ``mprotect``)."""
         region.prot = prot
-        self._lookup_cache = None
         self.generation += 1
 
     def region_at(self, address: int) -> Optional[Region]:
         """Return the region containing ``address`` or None."""
-        cached = self._lookup_cache
-        if cached is not None and cached.base <= address < cached.base + cached.size:
-            return cached
         index = bisect.bisect_right(self._bases, address) - 1
         if index < 0:
             return None
         region = self._regions[index]
         if region.contains(address):
-            self._lookup_cache = region
             return region
         return None
 
     def regions(self) -> Iterator[Region]:
         return iter(self._regions)
-
-    @property
-    def region_count(self) -> int:
-        return len(self._regions)
 
     # ------------------------------------------------------------------
     # raw access
@@ -273,12 +229,6 @@ class AddressSpace:
         wrapped = ((value - lo) % (hi - lo)) + lo
         self.store(address, wrapped.to_bytes(size, "little", signed=True))
 
-    def load_u8(self, address: int) -> int:
-        return self.load_uint(address, 1)
-
-    def store_u8(self, address: int, value: int) -> None:
-        self.store_uint(address, 1, value)
-
     def load_u32(self, address: int) -> int:
         return self.load_uint(address, 4)
 
@@ -302,12 +252,6 @@ class AddressSpace:
 
     def store_i64(self, address: int, value: int) -> None:
         self.store_int(address, 8, value)
-
-    def load_pointer(self, address: int) -> int:
-        return self.load_u64(address)
-
-    def store_pointer(self, address: int, value: int) -> None:
-        self.store_u64(address, value)
 
     # ------------------------------------------------------------------
     # C string helpers (bulk fast paths)
@@ -468,13 +412,6 @@ class AddressSpace:
         written, fault = self.copy_in_cstring(address, bytes(value) + b"\x00")
         if fault is not None:
             raise fault
-
-    def cstring_length(self, address: int) -> int:
-        """``strlen`` against simulated memory (may fault)."""
-        payload, _, fault = self.scan_cstring(address)
-        if fault is not None:
-            raise fault
-        return len(payload)
 
     # ------------------------------------------------------------------
     # convenience allocation helpers for tests / generators

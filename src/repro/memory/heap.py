@@ -149,9 +149,6 @@ class Heap:
             return None
         return block.end - address
 
-    def live_blocks(self) -> list[HeapBlock]:
-        return [HeapBlock(r.base, r.size) for r in self._blocks.values()]
-
     @property
     def live_block_count(self) -> int:
         return len(self._blocks)

@@ -196,13 +196,6 @@ class Lattice:
     def unified(self) -> list[TypeInstance]:
         return [t for t in self.instances if not t.fundamental]
 
-    def members_of(
-        self, unified: TypeInstance, fundamentals: Iterable[TypeInstance]
-    ) -> set[TypeInstance]:
-        """The given fundamentals whose value sets lie inside
-        ``unified`` (i.e. that are subtypes of it)."""
-        return {f for f in fundamentals if self.is_subtype(f, unified)}
-
     def weakest(self, candidates: Iterable[TypeInstance]) -> list[TypeInstance]:
         """Maximal elements (weakest = largest value sets) among
         ``candidates``; on a cycle, its whole equivalence class (see

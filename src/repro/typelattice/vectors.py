@@ -66,20 +66,6 @@ class TypeVectorOrder:
             for lattice, s, t in zip(self.lattices, sub, sup)
         )
 
-    def is_strict_subvector(
-        self, sub: Sequence[TypeInstance], sup: Sequence[TypeInstance]
-    ) -> bool:
-        return self.is_subvector(sub, sup) and tuple(sub) != tuple(sup)
-
-    def contains_vector(
-        self,
-        vector: Sequence[TypeInstance],
-        fundamentals: Sequence[TypeInstance],
-    ) -> bool:
-        """Whether a test case vector (of fundamentals) lies in the
-        value set of ``vector``."""
-        return self.is_subvector(fundamentals, vector)
-
 
 def compute_robust_vector(
     observations: Iterable[VectorObservation],

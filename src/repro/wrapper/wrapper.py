@@ -32,7 +32,6 @@ from repro.sandbox import CallOutcome, CallStatus, Sandbox
 from repro.typelattice.instances import TypeInstance
 from repro.wrapper.checks import CheckConfig, CheckLibrary
 from repro.wrapper.program import (
-    DEFAULT_REVALIDATE_CAP,
     MINIMAL_CHECKED,
     CheckProgram,
     ProgramContext,
@@ -96,7 +95,6 @@ class WrapperLibrary:
         step_budget: int = 1_000_000,
         telemetry=NULL_TELEMETRY,
         compiled: bool = True,
-        revalidate_cache: int = DEFAULT_REVALIDATE_CAP,
         max_log_entries: int = DEFAULT_LOG_CAP,
         collect_step_costs: bool = False,
     ) -> None:
@@ -115,9 +113,7 @@ class WrapperLibrary:
         self._programs: dict[str, CheckProgram] = {}
         #: the reusable check context; its revalidation cache survives
         #: across calls while the runtime's mapping generation holds
-        self._context = ProgramContext(
-            self.state, self.check_config, cache_cap=revalidate_cache
-        )
+        self._context = ProgramContext(self.state, self.check_config)
         self.sandbox = Sandbox(step_budget=step_budget, telemetry=telemetry)
         #: assertions enabled anywhere force state interception
         self.tracked_assertions: frozenset[str] = frozenset(

@@ -7,7 +7,6 @@ importable module rather than inside a test function.
 from __future__ import annotations
 
 import os
-import random
 import signal
 import time
 
@@ -34,12 +33,6 @@ def slow_first(name: str) -> dict:
     if name.endswith("0"):
         time.sleep(0.5)
     return {"name": name}
-
-
-def draw(name: str) -> dict:
-    """Returns randomness drawn after the scheduler's per-task reseed,
-    proving results do not depend on worker or completion order."""
-    return {"name": name, "value": random.random()}
 
 
 def freeze(name: str) -> dict:

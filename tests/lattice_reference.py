@@ -64,11 +64,6 @@ class ReferenceOrder:
             other for other in self.instances if self.is_strict_subtype(other, instance)
         )
 
-    def members_of(
-        self, unified: TypeInstance, fundamentals: Iterable[TypeInstance]
-    ) -> set[TypeInstance]:
-        return {f for f in fundamentals if self.is_subtype(f, unified)}
-
     def weakest(self, candidates: Iterable[TypeInstance]) -> list[TypeInstance]:
         """Candidates no other candidate lies strictly above without also
         lying below (the members of a topmost cycle are all weakest)."""

@@ -1,16 +1,14 @@
 """Reference (unoptimized) memory semantics.
 
 The fast paths in :mod:`repro.memory.address_space` — copy-on-write
-forks, the region-lookup cache, slice-based C-string scans, the
-single-pass accessibility probe — are performance work only: they must
-be observationally identical to the byte-at-a-time, deep-copying
-implementations this reproduction started with.  This module keeps
-those original semantics alive verbatim so the equivalence fuzz tests
-(``tests/test_memory_cow.py``) and the hot-path bench
-(``benchmarks/test_bench_memory_hotpath.py``) can diff the optimized
-code against ground truth instead of asserting speed on faith.
-
-Nothing here is used on any production path.
+forks, slice-based C-string scans, the single-pass accessibility
+probe — are performance work only: they must be observationally
+identical to the byte-at-a-time, deep-copying implementations this
+reproduction started with.  This module keeps those original semantics
+alive verbatim so the equivalence fuzz tests (``test_memory_cow.py``)
+and the hot-path bench (``benchmarks/test_bench_memory_hotpath.py``)
+can diff the optimized code against ground truth instead of asserting
+speed on faith.
 """
 
 from __future__ import annotations
@@ -88,20 +86,6 @@ def write_cstring_ref(space: AddressSpace, address: int, value: bytes) -> None:
         space.store(cursor, bytes([byte]))
         cursor += 1
     space.store(cursor, b"\x00")
-
-
-def copy_in_cstring_ref(
-    space: AddressSpace, address: int, payload: bytes
-) -> tuple[int, Optional[SegmentationFault]]:
-    """Per-byte writer in the ``copy_in_cstring`` result shape."""
-    written = 0
-    for byte in payload:
-        try:
-            space.store(address + written, bytes([byte]))
-        except SegmentationFault as fault:
-            return written, fault
-        written += 1
-    return written, None
 
 
 def is_accessible_ref(

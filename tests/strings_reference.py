@@ -9,7 +9,7 @@ bit — outcome status, return value, fault address, memory mutations,
 ``strtok`` save state and the exact step count (including the
 Hang-before-fault ordering at the step budget).
 
-``tests/test_strings_equivalence.py`` proves the equivalence across
+``test_strings_equivalence.py`` proves the equivalence across
 seeded scenarios and across every step-budget cutoff;
 ``benchmarks/test_bench_injector_plan.py`` runs whole injection
 campaigns against these models as the measured baseline.

@@ -1,11 +1,9 @@
 """Tests for the campaign scheduler (sharding + supervised pool)."""
 
-import zlib
-
 import pytest
 
-from repro.campaign import dispatch_order, plan_shards, run_tasks, task_seed
-from tests.campaign_workers import draw, echo, misbehave, slow_first
+from repro.campaign import dispatch_order, plan_shards, run_tasks
+from tests.campaign_workers import echo, misbehave, slow_first
 
 
 class TestSharding:
@@ -30,19 +28,6 @@ class TestSharding:
     def test_plan_is_deterministic(self):
         names = [f"fn{i}" for i in range(17)]
         assert plan_shards(names, 4) == plan_shards(names, 4)
-
-
-class TestTaskSeed:
-    def test_stable(self):
-        assert task_seed("strcpy") == task_seed("strcpy")
-
-    def test_name_and_seed_sensitive(self):
-        assert task_seed("strcpy") != task_seed("strcat")
-
-    def test_keyed_like_the_deleted_seed_zero(self):
-        # Campaigns ran with seed 0, which keyed each task on its name
-        # alone; deleting the seed must not move any drawn value.
-        assert task_seed("abs") == zlib.crc32(b"abs")
 
 
 class TestRunTasksInline:
@@ -71,16 +56,6 @@ class TestRunTasksInline:
 
 
 class TestRunTasksPool:
-    def test_parallel_matches_serial_randomness(self):
-        # Per-task reseeding makes drawn randomness a function of
-        # the task name only — not of worker assignment.
-        names = [f"t{i}" for i in range(6)]
-        serial = run_tasks(names, draw, jobs=1)
-        parallel = run_tasks(names, draw, jobs=3)
-        assert {n: serial[n].payload for n in names} == {
-            n: parallel[n].payload for n in names
-        }
-
     def test_all_tasks_complete_despite_slow_task(self):
         names = ["w0", "x1", "y2", "z3"]
         order = []

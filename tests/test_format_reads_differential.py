@@ -52,7 +52,6 @@ def _map_adjacent(runtime: LibcRuntime, previous, payload: bytes):
     index = space._regions.index(region)
     region.base = previous.end
     space._bases[index] = region.base
-    space._lookup_cache = None
     if payload:
         region.poke(region.base, payload)
     return region

@@ -45,13 +45,12 @@ def test_i64_round_trip_any_value(value):
 def test_heap_blocks_are_disjoint_and_tracked(sizes):
     heap = Heap(AddressSpace())
     pointers = [heap.malloc(size) for size in sizes]
-    live = heap.live_blocks()
-    assert len(live) == len(sizes)
+    assert heap.live_block_count == len(sizes)
     for pointer, size in zip(pointers, sizes):
         block = heap.block_containing(pointer) if size else None
         if size:
             assert block is not None and block.size == size
-    spans = sorted((b.base, b.end) for b in live)
+    spans = sorted((r.base, r.end) for r in heap._blocks.values())
     for (_, prev_end), (next_base, _) in zip(spans, spans[1:]):
         assert prev_end <= next_base
 

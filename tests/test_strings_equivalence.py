@@ -1,7 +1,7 @@
 """Differential equivalence: bulk string models vs per-byte references.
 
 ``repro.libc.strings`` implements the str*/mem* models with bulk
-scans plus event-index arithmetic; ``repro.libc.reference_strings``
+scans plus event-index arithmetic; ``tests/strings_reference.py``
 keeps the original per-byte loops as the executable specification.
 The two must be indistinguishable through the sandbox: same terminal
 status, return value, errno, *step count*, fault coordinates, and
@@ -20,12 +20,13 @@ import random
 
 import pytest
 
-from repro.libc import reference_strings, strings
+from repro.libc import strings
 from repro.libc.runtime import LibcRuntime
 from repro.memory import INVALID_POINTER, NULL, Protection
 from repro.sandbox import Sandbox
+from tests import strings_reference
 
-FUNCTIONS = sorted(reference_strings.REFERENCE_MODELS)
+FUNCTIONS = sorted(strings_reference.REFERENCE_MODELS)
 
 TRIALS = 60
 
@@ -103,7 +104,7 @@ def test_bulk_model_matches_reference(name):
     # sweep reproducible under PYTHONHASHSEED randomization.
     rng = random.Random(f"strings-equivalence:{name}")
     fast_model = getattr(strings, f"libc_{name}")
-    reference = reference_strings.REFERENCE_MODELS[name]
+    reference = strings_reference.REFERENCE_MODELS[name]
     for trial in range(TRIALS):
         base, pool = _build_case(rng)
         args = _args_for(name, rng, rng.sample(pool, len(pool)))
