@@ -13,6 +13,7 @@ EBADF = 9
 ENOMEM = 12
 EACCES = 13
 EFAULT = 14
+EBUSY = 16
 ENOTDIR = 20
 EISDIR = 21
 EINVAL = 22
@@ -35,6 +36,7 @@ ERRNO_NAMES = {
     ENOMEM: "ENOMEM",
     EACCES: "EACCES",
     EFAULT: "EFAULT",
+    EBUSY: "EBUSY",
     ENOTDIR: "ENOTDIR",
     EISDIR: "EISDIR",
     EINVAL: "EINVAL",

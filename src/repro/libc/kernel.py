@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.libc.errno_codes import (
     EBADF,
+    EBUSY,
     EINVAL,
     EISDIR,
     EMFILE,
@@ -35,29 +36,16 @@ class KernelError(Exception):
         super().__init__(detail or f"syscall failed with errno {errno}")
 
 
-@dataclass
+@dataclass(slots=True)
 class VNode:
-    """One filesystem node (regular file or directory)."""
+    """One filesystem node (regular file or directory); ``entries`` maps
+    names to inode numbers in :attr:`Kernel.inodes`."""
 
-    name: str
     is_dir: bool = False
     data: bytearray = field(default_factory=bytearray)
-    children: dict[str, "VNode"] = field(default_factory=dict)
+    entries: dict[str, int] = field(default_factory=dict)
     read_only: bool = False
     is_tty: bool = False
-    inode: int = 0
-
-    def clone(self) -> "VNode":
-        node = VNode(
-            name=self.name,
-            is_dir=self.is_dir,
-            data=bytearray(self.data),
-            read_only=self.read_only,
-            is_tty=self.is_tty,
-            inode=self.inode,
-        )
-        node.children = {k: v.clone() for k, v in self.children.items()}
-        return node
 
 
 # open-mode flags (subset of O_RDONLY/O_WRONLY/O_RDWR semantics)
@@ -72,7 +60,7 @@ CREATE = 0x10
 class OpenFile:
     """One open file description (what an fd points to)."""
 
-    node: VNode
+    ino: int
     flags: int
     offset: int = 0
 
@@ -106,14 +94,22 @@ class StatResult:
 
 
 MAX_FDS = 256
+ROOT_INO = 1
 
 
 class Kernel:
-    """Filesystem + descriptor table + tty state."""
+    """Filesystem + descriptor table + tty state.
+
+    The filesystem is an inode table.  :meth:`fork` copies the table
+    and shares every node with the child; ``_owned`` holds the inodes
+    this kernel may mutate in place, and every mutation goes through
+    :meth:`_own`, which copies a shared node on its first write.
+    """
 
     def __init__(self) -> None:
-        self.root = VNode("/", is_dir=True, inode=1)
-        self._next_inode = 2
+        self.inodes: dict[int, VNode] = {ROOT_INO: VNode(is_dir=True)}
+        self._owned: set[int] = {ROOT_INO}
+        self._next_inode = ROOT_INO + 1
         self.fds: dict[int, OpenFile] = {}
         self._next_fd = 3  # 0..2 reserved for std streams
         self.termios: dict[int, TermiosState] = {}
@@ -132,8 +128,8 @@ class Kernel:
 
     # -- construction helpers -------------------------------------------
     def _setup_std_streams(self) -> None:
-        tty = self._create_node("/dev/tty", is_dir=False)
-        tty.is_tty = True
+        tty = self._create_file("/dev/tty")
+        self.inodes[tty].is_tty = True
         self.fds[0] = OpenFile(tty, READ)
         self.fds[1] = OpenFile(tty, WRITE)
         self.fds[2] = OpenFile(tty, WRITE)
@@ -141,42 +137,65 @@ class Kernel:
         self.termios[1] = TermiosState()
         self.termios[2] = TermiosState()
 
-    def _create_node(self, path: str, is_dir: bool) -> VNode:
-        parent = self._walk(posixpath.dirname(path), create=True)
-        name = posixpath.basename(path)
-        node = VNode(name, is_dir=is_dir, inode=self._next_inode)
-        self._next_inode += 1
-        parent.children[name] = node
+    def _own(self, ino: int) -> VNode:
+        """The node at ``ino``, private to this kernel: a node still
+        shared with a fork is copied once (bytes and entries)."""
+        node = self.inodes[ino]
+        if ino not in self._owned:
+            node = self.inodes[ino] = VNode(
+                node.is_dir, bytearray(node.data), dict(node.entries), node.read_only,
+                node.is_tty,
+            )
+            self._owned.add(ino)
         return node
 
-    def _walk(self, path: str, create: bool = False) -> VNode:
-        node = self.root
-        for part in [p for p in path.split("/") if p]:
-            child = node.children.get(part)
+    def _new_node(self, parent: int, name: str, is_dir: bool) -> int:
+        ino = self._next_inode
+        self._next_inode += 1
+        self.inodes[ino] = VNode(is_dir=is_dir)
+        self._owned.add(ino)
+        self._own(parent).entries[name] = ino
+        return ino
+
+    def _create_file(self, path: str) -> int:
+        parent = self._walk(posixpath.dirname(path), create=True)
+        return self._new_node(parent, posixpath.basename(path), is_dir=False)
+
+    def _walk(self, path: str, create: bool = False) -> int:
+        """Resolve ``path`` to an inode number.  Copies nothing unless
+        ``create`` adds a missing directory."""
+        ino = ROOT_INO
+        for part in path.split("/"):
+            if not part:
+                continue
+            child = self.inodes[ino].entries.get(part)
             if child is None:
                 if not create:
                     raise KernelError(ENOENT, f"no such path component {part!r}")
-                child = VNode(part, is_dir=True, inode=self._next_inode)
-                self._next_inode += 1
-                node.children[part] = child
-            node = child
-        return node
+                child = self._new_node(ino, part, is_dir=True)
+            ino = child
+        return ino
+
+    def _resolve(self, path: str) -> int:
+        if not path:
+            raise KernelError(ENOENT, "empty path")
+        return self._walk(path)
 
     def add_file(self, path: str, data: bytes = b"", read_only: bool = False) -> VNode:
         """Populate the filesystem (used by the standard runtime)."""
-        node = self._create_node(path, is_dir=False)
+        node = self.inodes[self._create_file(path)]
         node.data = bytearray(data)
         node.read_only = read_only
         return node
 
     def add_directory(self, path: str) -> VNode:
-        return self._walk(path, create=True)
+        return self._own(self._walk(path, create=True))
 
     # -- path syscalls -----------------------------------------------------
     def lookup(self, path: str) -> VNode:
-        if not path:
-            raise KernelError(ENOENT, "empty path")
-        return self._walk(path)
+        """The node at ``path``, owned by this kernel: the caller may
+        mutate it without touching a fork."""
+        return self._own(self._resolve(path))
 
     def open(self, path: str, flags: int) -> int:
         if len(self.fds) >= MAX_FDS:
@@ -184,22 +203,24 @@ class Kernel:
         if self.fd_budget is not None and self.fd_budget <= 0:
             raise KernelError(EMFILE, "descriptor budget exhausted")
         try:
-            node = self.lookup(path)
+            ino = self._resolve(path)
         except KernelError:
             if not (flags & CREATE):
                 raise
-            node = self.add_file(path)
+            ino = self._create_file(path)
+        node = self.inodes[ino]
         if node.is_dir and flags & WRITE:
             raise KernelError(EISDIR)
         if node.read_only and flags & WRITE:
             raise KernelError(EROFS)
         if flags & TRUNC and flags & WRITE:
+            node = self._own(ino)
             node.data = bytearray()
         fd = self._next_fd
         while fd in self.fds:
             fd += 1
         self._next_fd = fd + 1
-        open_file = OpenFile(node, flags)
+        open_file = OpenFile(ino, flags)
         if flags & APPEND:
             open_file.offset = len(node.data)
         self.fds[fd] = open_file
@@ -210,19 +231,20 @@ class Kernel:
         return fd
 
     def unlink(self, path: str) -> None:
-        node = self.lookup(path)
-        if node.is_dir and node.children:
+        node = self.inodes[self._resolve(path)]
+        if node.is_dir and node.entries:
             raise KernelError(ENOTDIR, "directory not empty")
-        parent = self._walk(posixpath.dirname(path))
-        parent.children.pop(posixpath.basename(path), None)
+        parent = self._own(self._walk(posixpath.dirname(path)))
+        parent.entries.pop(posixpath.basename(path), None)
 
     def rename(self, old: str, new: str) -> None:
-        node = self.lookup(old)
-        old_parent = self._walk(posixpath.dirname(old))
-        old_parent.children.pop(posixpath.basename(old), None)
-        new_parent = self._walk(posixpath.dirname(new), create=True)
-        node.name = posixpath.basename(new)
-        new_parent.children[node.name] = node
+        ino = self._resolve(old)
+        if ino == ROOT_INO:
+            raise KernelError(EBUSY, "cannot rename the root directory")
+        old_parent = self._own(self._walk(posixpath.dirname(old)))
+        old_parent.entries.pop(posixpath.basename(old), None)
+        new_parent = self._own(self._walk(posixpath.dirname(new), create=True))
+        new_parent.entries[posixpath.basename(new)] = ino
 
     # -- descriptor syscalls -------------------------------------------------
     def _descriptor(self, fd: int) -> OpenFile:
@@ -240,7 +262,8 @@ class Kernel:
         open_file = self._descriptor(fd)
         if not open_file.readable:
             raise KernelError(EBADF, "fd not open for reading")
-        data = bytes(open_file.node.data[open_file.offset : open_file.offset + count])
+        start = open_file.offset
+        data = bytes(self.inodes[open_file.ino].data[start : start + count])
         open_file.offset += len(data)
         return data
 
@@ -248,13 +271,13 @@ class Kernel:
         open_file = self._descriptor(fd)
         if not open_file.writable:
             raise KernelError(EBADF, "fd not open for writing")
-        node = open_file.node
-        if node.is_tty:
+        if self.inodes[open_file.ino].is_tty:
             return len(payload)  # tty output is discarded
         if self.disk_budget is not None:
             if self.disk_budget < len(payload):
                 raise KernelError(ENOSPC, "disk budget exhausted")
             self.disk_budget -= len(payload)
+        node = self._own(open_file.ino)
         end = open_file.offset + len(payload)
         if len(node.data) < end:
             node.data.extend(b"\x00" * (end - len(node.data)))
@@ -269,7 +292,7 @@ class Kernel:
         elif whence == 1:
             target = open_file.offset + offset
         elif whence == 2:
-            target = len(open_file.node.data) + offset
+            target = len(self.inodes[open_file.ino].data) + offset
         else:
             raise KernelError(EINVAL, f"bad whence {whence}")
         if target < 0:
@@ -277,17 +300,18 @@ class Kernel:
         open_file.offset = target
         return target
 
+    def _stat(self, ino: int) -> StatResult:
+        node = self.inodes[ino]
+        return StatResult(ino, len(node.data), node.is_dir, node.is_tty)
+
     def fstat(self, fd: int) -> StatResult:
-        open_file = self._descriptor(fd)
-        node = open_file.node
-        return StatResult(node.inode, len(node.data), node.is_dir, node.is_tty)
+        return self._stat(self._descriptor(fd).ino)
 
     def stat(self, path: str) -> StatResult:
-        node = self.lookup(path)
-        return StatResult(node.inode, len(node.data), node.is_dir, node.is_tty)
+        return self._stat(self._resolve(path))
 
     def isatty(self, fd: int) -> bool:
-        return self._descriptor(fd).node.is_tty
+        return self.inodes[self._descriptor(fd).ino].is_tty
 
     def get_termios(self, fd: int) -> TermiosState:
         self._descriptor(fd)
@@ -305,10 +329,10 @@ class Kernel:
         return open_file.readable, open_file.writable
 
     def list_directory(self, path: str) -> list[str]:
-        node = self.lookup(path)
+        node = self.inodes[self._resolve(path)]
         if not node.is_dir:
             raise KernelError(ENOTDIR, f"{path} is not a directory")
-        return sorted(node.children)
+        return sorted(node.entries)
 
     # -- process state ----------------------------------------------------------
     def getenv(self, name: bytes) -> Optional[bytes]:
@@ -318,8 +342,12 @@ class Kernel:
         self.environment[name] = value
 
     def fork(self) -> "Kernel":
+        """Child-process copy in O(descriptors): parent and child share
+        every node until one of them writes it."""
         clone = Kernel.__new__(Kernel)
-        clone.root = self.root.clone()
+        clone.inodes = dict(self.inodes)
+        clone._owned = set()
+        self._owned = set()
         clone._next_inode = self._next_inode
         clone._next_fd = self._next_fd
         clone.now = self.now
@@ -327,32 +355,5 @@ class Kernel:
         clone.disk_budget = self.disk_budget
         clone.environment = dict(self.environment)
         clone.termios = {fd: TermiosState(**vars(st)) for fd, st in self.termios.items()}
-        # Re-resolve descriptor nodes in the cloned tree by path walk:
-        # descriptors keep their flags/offsets but point at the clones.
-        clone.fds = {}
-        paths = self._paths_by_node()
-        for fd, open_file in self.fds.items():
-            path = paths.get(id(open_file.node))
-            if path is None:
-                node = open_file.node.clone()
-            else:
-                node = clone._walk_existing(path)
-            clone.fds[fd] = OpenFile(node, open_file.flags, open_file.offset)
+        clone.fds = {fd: OpenFile(f.ino, f.flags, f.offset) for fd, f in self.fds.items()}
         return clone
-
-    def _paths_by_node(self) -> dict[int, str]:
-        paths: dict[int, str] = {}
-
-        def visit(node: VNode, prefix: str) -> None:
-            paths[id(node)] = prefix or "/"
-            for name, child in node.children.items():
-                visit(child, f"{prefix}/{name}")
-
-        visit(self.root, "")
-        return paths
-
-    def _walk_existing(self, path: str) -> VNode:
-        node = self.root
-        for part in [p for p in path.split("/") if p]:
-            node = node.children[part]
-        return node

@@ -3,7 +3,8 @@
 Bundles everything a libc call touches: the address space, the heap,
 the kernel, ``errno``, and libc-private static state (``asctime``'s
 static buffer, ``strtok``'s save pointer, ...).  One runtime is one
-"process image"; :meth:`LibcRuntime.fork` deep-copies it, which is how
+"process image"; :meth:`LibcRuntime.fork` copies it (observationally a
+deep copy; memory and kernel are copy-on-write), which is how
 the sandbox gives each fault-injection call child-process isolation.
 """
 
@@ -68,9 +69,11 @@ class LibcRuntime:
         """The runtime's private kernel, materialized on demand.
 
         After :meth:`fork`, parent and child share one frozen kernel
-        image; whichever side next touches ``kernel`` pays for the
-        deep fork.  Most injection vectors never reach the kernel, so
-        string-family sweeps skip the filesystem clone entirely.
+        image; whichever side next touches ``kernel`` pays for a
+        :meth:`Kernel.fork`, which copies the inode and descriptor
+        tables and shares every filesystem node until it is written.
+        Most injection vectors never reach the kernel, so string-family
+        sweeps skip even that.
         """
         if self._kernel_shared:
             self._kernel = self._kernel.fork()
@@ -93,8 +96,8 @@ class LibcRuntime:
     def fork(self) -> "LibcRuntime":
         """Child-process semantics: observationally a deep copy, but
         memory is copy-on-write (:meth:`AddressSpace.fork`) and the
-        kernel fork is deferred until first touch, so the per-call
-        fork the sandbox performs costs O(region count)."""
+        copy-on-write kernel fork is deferred until first touch, so
+        the per-call fork the sandbox performs costs O(region count)."""
         clone = LibcRuntime.__new__(LibcRuntime)
         clone.space = self.space.fork()
         clone.heap = self.heap.fork_into(clone.space)

@@ -142,8 +142,11 @@ class Sandbox:
         try:
             value = function(ctx, *arguments)
         except SegmentationFault as fault:
+            # The traceback would pin the model's frames and buffers
+            # (strncpy's ~1 MB padding) until the cyclic collector runs.
             return CallOutcome(
-                CallStatus.CRASHED, fault=fault, detail=fault.reason, steps=ctx.steps
+                CallStatus.CRASHED, fault=fault.with_traceback(None), detail=fault.reason,
+                steps=ctx.steps,
             )
         except BusError as fault:
             synthetic = SegmentationFault(fault.address, access=AccessKind.READ)

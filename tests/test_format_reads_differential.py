@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.libc import common, fileio, stdlib_fns, timefns
 from repro.libc.errno_codes import EINTR
-from repro.libc.kernel import CREATE, READ, TRUNC, WRITE
+from repro.libc.kernel import CREATE, READ, ROOT_INO, TRUNC, WRITE
 from repro.libc.runtime import LibcRuntime, TM_SIZE
 from repro.memory import INVALID_POINTER, NULL, Protection, SegmentationFault
 from repro.sandbox import Sandbox
@@ -201,16 +201,18 @@ def _snapshot(runtime: LibcRuntime):
         for region in runtime.space.regions()
     )
     files = []
+    kernel = runtime.kernel
 
-    def visit(node, prefix):
-        files.append((prefix + node.name, node.is_dir, bytes(node.data)))
-        for child in sorted(node.children):
-            visit(node.children[child], prefix + node.name + "/")
+    def visit(ino, name, prefix):
+        node = kernel.inodes[ino]
+        files.append((prefix + name, node.is_dir, bytes(node.data)))
+        for child in sorted(node.entries):
+            visit(node.entries[child], child, prefix + name + "/")
 
-    visit(runtime.kernel.root, "")
+    visit(ROOT_INO, "/", "")
     fds = tuple(
-        (fd, handle.node.inode, handle.flags, handle.offset)
-        for fd, handle in sorted(runtime.kernel.fds.items())
+        (fd, handle.ino, handle.flags, handle.offset)
+        for fd, handle in sorted(kernel.fds.items())
     )
     return regions, tuple(files), fds, runtime.errno
 

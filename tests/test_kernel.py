@@ -11,7 +11,7 @@ from repro.libc.kernel import (
     TRUNC,
     WRITE,
 )
-from repro.libc.errno_codes import EBADF, EINVAL, ENOENT, ENOTTY, EROFS
+from repro.libc.errno_codes import EBADF, EBUSY, EINVAL, ENOENT, ENOTTY, EROFS
 
 
 @pytest.fixture()
@@ -44,6 +44,13 @@ class TestFilesystem:
         kernel.unlink("/data/renamed.txt")
         with pytest.raises(KernelError):
             kernel.lookup("/data/renamed.txt")
+
+    def test_rename_refuses_the_root(self, kernel):
+        # The root moved under itself would make the filesystem a cycle.
+        with pytest.raises(KernelError) as exc:
+            kernel.rename("/", "/data/x")
+        assert exc.value.errno == EBUSY
+        assert kernel.fork().list_directory("/") == ["data", "dev"]
 
 
 class TestDescriptors:
@@ -147,7 +154,7 @@ class TestEnvironmentAndFork:
 
 
 class TestLazyRuntimeKernelFork:
-    """LibcRuntime defers the kernel deep-fork until first touch;
+    """LibcRuntime defers the kernel fork until first touch;
     the observable semantics must stay exactly fork-per-call."""
 
     def test_fork_shares_until_touched(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.libc.runtime import LibcRuntime
+from repro.libc.strings import libc_strncpy
 from repro.memory import SegmentationFault, AccessKind
 from repro.sandbox import Abort, CallStatus, Hang, Sandbox
 
@@ -54,6 +55,14 @@ class TestOutcomes:
         assert outcome.status is CallStatus.CRASHED
         assert outcome.fault_address == 0
         assert outcome.robustness_failure
+
+    def test_crash_outcome_holds_no_traceback(self):
+        # A traceback would pin strncpy's frame and its padding buffer.
+        runtime = LibcRuntime()
+        src = runtime.space.alloc_cstring(b"abc")
+        outcome = Sandbox().call(libc_strncpy, (0, src.base, 100_000), runtime)
+        assert outcome.status is CallStatus.CRASHED
+        assert outcome.fault.__traceback__ is None
 
     def test_hang_detected_by_step_budget(self):
         outcome = Sandbox(step_budget=10_000).call(hangs, (), LibcRuntime())
