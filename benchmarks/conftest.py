@@ -2,8 +2,9 @@
 
 Each benchmark regenerates one table or figure of the paper and prints
 the measured rows next to the published ones (run with ``-s`` to see
-them).  Fault injection results are cached on disk so the benches
-measure the experiments, not repeated injection.
+them).  Fault injection outcomes are kept in the campaign's
+content-addressed store so the benches measure the experiments, not
+repeated injection; an outcome whose inputs changed is re-injected.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.cache import DEFAULT_CACHE, load_or_generate
+from repro.campaign import DEFAULT_CAMPAIGN_DIR
+from repro.core import HealersPipeline
 
 #: Where the bench artifacts live (the repo root).
 BENCH_ROOT = Path(__file__).resolve().parents[1]
@@ -21,7 +23,7 @@ BENCH_ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(scope="session")
 def hardened86():
-    return load_or_generate(path=DEFAULT_CACHE)
+    return HealersPipeline(cache_dir=DEFAULT_CAMPAIGN_DIR).run()
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -16,9 +16,9 @@ Quickstart::
     print(hardened.wrapper_source())
 """
 
-from repro.core import HardenedLibrary, HealersPipeline, harden, load_or_generate
+from repro.core import HardenedLibrary, HealersPipeline, harden
 
-__all__ = ["HardenedLibrary", "HealersPipeline", "harden", "load_or_generate"]
+__all__ = ["HardenedLibrary", "HealersPipeline", "harden"]
 
 #: The single source of truth for the package version: pyproject.toml
 #: reads it via ``[tool.setuptools.dynamic]`` and the CLI exposes it

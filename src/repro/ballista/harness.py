@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.ballista.pools import PoolValue, pool_for
 from repro.cdecl import DeclarationParser, typedef_table
@@ -116,13 +116,11 @@ class BallistaHarness:
     def __init__(
         self,
         functions: Optional[Sequence[FunctionSpec]] = None,
-        runtime_factory: Callable[[], LibcRuntime] = standard_runtime,
         test_cap: int = DEFAULT_TEST_CAP,
         total_target: Optional[int] = None,
         telemetry=NULL_TELEMETRY,
     ) -> None:
         self.functions = list(functions or BALLISTA_SET)
-        self.runtime_factory = runtime_factory
         self.test_cap = test_cap
         self.total_target = total_target
         self.telemetry = telemetry
@@ -176,21 +174,20 @@ class BallistaHarness:
         self,
         wrapper: Optional[WrapperLibrary] = None,
         configuration: str = "unwrapped",
-        step_budget: int = 1_000_000,
         jobs: int = 1,
         run: RunSpec = RunSpec(),
     ) -> BallistaReport:
-        """Execute every test; each runs in a fork of a base runtime.
+        """Execute every test; each runs in a fork of a standard runtime.
 
         With ``jobs > 1`` the sweep is sharded by function over the
         campaign scheduler's worker pool: each worker re-enumerates
         the identical (deterministic) global test list, rebuilds the
         wrapper from the declarations, and executes its functions'
         tests; the parent assembles records in enumeration order, so
-        the report is identical to a serial run.  Sweeps whose runtime
-        factory or wrapper cannot be reconstructed in a worker fall
-        back to serial execution (a ``ballista.serial_fallback``
-        telemetry event names the reason).
+        the report is identical to a serial run.  Sweeps whose wrapper
+        cannot be reconstructed in a worker fall back to serial
+        execution (a ``ballista.serial_fallback`` telemetry event names
+        the reason).
 
         The run's fault models (see :mod:`repro.faults`) arm one scenario
         per test, cycling through each function's scenario list in
@@ -203,14 +200,14 @@ class BallistaHarness:
             if models:
                 blocker = "fault models armed"
             if blocker is None:
-                return self._run_sharded(wrapper, configuration, step_budget, jobs)
+                return self._run_sharded(wrapper, configuration, jobs)
             self.telemetry.event("ballista.serial_fallback", reason=blocker)
         scenario_cycle = self._scenario_cycle(models)
         seen_per_function: dict[str, int] = {}
         telemetry = self.telemetry.scope(configuration=configuration)
         report = BallistaReport(configuration)
-        sandbox = Sandbox(step_budget=step_budget, telemetry=telemetry)
-        base = self.runtime_factory()
+        sandbox = Sandbox(telemetry=telemetry)
+        base = standard_runtime()
         status_counters = {
             status: telemetry.counter("ballista.tests", status=status)
             for status in ("crash", "errno", "silent")
@@ -259,8 +256,6 @@ class BallistaHarness:
     # ------------------------------------------------------------------
     def _sharding_blocker(self, wrapper: Optional[WrapperLibrary]) -> Optional[str]:
         """Why this sweep cannot be sharded, or None when it can."""
-        if self.runtime_factory is not standard_runtime:
-            return "custom runtime_factory"
         if wrapper is not None:
             from repro.wrapper.checks import CheckConfig
 
@@ -272,7 +267,6 @@ class BallistaHarness:
         self,
         wrapper: Optional[WrapperLibrary],
         configuration: str,
-        step_budget: int,
         jobs: int,
     ) -> BallistaReport:
         from repro.campaign.scheduler import run_tasks
@@ -286,7 +280,6 @@ class BallistaHarness:
             "functions": [spec.name for spec in self.functions],
             "test_cap": self.test_cap,
             "total_target": self.total_target,
-            "step_budget": step_budget,
             "declarations": None
             if wrapper is None
             else {
@@ -418,9 +411,8 @@ def _ballista_task(function: str, env: dict) -> dict:
                 policy=WrapperPolicy[env["policy"]],
                 relational=env["relational"],
                 wrap_safe=env["wrap_safe"],
-                step_budget=env["step_budget"],
             )
-        sandbox = Sandbox(step_budget=env["step_budget"])
+        sandbox = Sandbox()
         base = standard_runtime()
         state = (grouped, wrapper, sandbox, base)
         _TASK_ENV_CACHE[id(env)] = state

@@ -8,11 +8,14 @@ managed campaign:
 2. **cache** — serve unchanged functions from the
    :class:`~repro.campaign.store.OutcomeStore` without touching the
    sandbox;
-3. **inject** — hand the misses to :func:`run_fleet`: inline for one
-   worker, else the :mod:`~repro.campaign.scheduler` pool (the
-   ``processes`` mode: per-task timeout, heartbeats, bounded retry; a
-   crashed or hung worker fails only its function and the campaign
-   continues), or the ``remote`` fleet;
+3. **inject** — run the misses: in this process for a width of one
+   (``serial``: each report goes straight to the bookkeeping, and is
+   encoded only when a store will keep it; a raising function fails
+   alone), else through :func:`run_fleet` on the
+   :mod:`~repro.campaign.scheduler` pool (the ``processes`` mode:
+   per-task timeout, heartbeats, bounded retry; a crashed or hung
+   worker fails only its function and the campaign continues) or the
+   ``remote`` fleet;
 4. **finalize** — assemble reports in catalog order (independent of
    worker completion order), persist fresh outcomes to the store, and
    checkpoint the manifest.
@@ -49,7 +52,8 @@ from repro.injector import FaultInjector, InjectionReport, RunSpec
 from repro.libc.catalog import BY_NAME, FunctionSpec
 from repro.obs.telemetry import NULL_TELEMETRY
 
-#: Default campaign cache, next to the declaration bundle cache.
+#: Default campaign cache: the outcome store and manifest that
+#: ``repro campaign`` and the full-catalog ``repro ballista`` share.
 DEFAULT_CAMPAIGN_DIR = (
     Path(__file__).resolve().parents[3] / ".healers_cache" / "campaign"
 )
@@ -64,6 +68,8 @@ class CampaignConfig:
     jobs: int = 1
     cache_dir: Optional[Path] = None
     resume: bool = False
+    #: Per-function deadline and extra attempts of the pool and remote
+    #: modes; the serial mode runs each function once, in process.
     timeout: Optional[float] = DEFAULT_TASK_TIMEOUT
     task_retries: int = DEFAULT_TASK_RETRIES
     #: The vector cap and armed fault models every function runs
@@ -73,8 +79,8 @@ class CampaignConfig:
     #: ledger (``repro.obs.ledger``) at finalize time.
     ledger: Optional[Path] = None
     #: Fleet execution mode (``processes`` | ``remote``); None is the
-    #: ``processes`` mode, which runs inline for a width of 1 and on
-    #: the supervised pool otherwise.
+    #: ``processes`` mode, which runs in this process for a width of 1
+    #: and on the supervised pool otherwise.
     fleet: Optional[str] = None
     #: Fleet worker count; defaults to ``jobs`` when unset.
     workers: Optional[int] = None
@@ -128,24 +134,6 @@ class CampaignResult:
         }
 
 
-# ----------------------------------------------------------------------
-# the worker task: must stay module-level (picklable under spawn)
-# ----------------------------------------------------------------------
-
-
-def _inject_payload(name: str, run: RunSpec = RunSpec()) -> dict:
-    """Run one function's injector and serialize the report.
-
-    Serialization happens worker-side so only a JSON-able dict crosses
-    the process boundary and the parent can persist it verbatim.  The
-    run's fault models travel as canonical spec strings and are
-    resolved to model instances here, inside the worker.
-    """
-    spec = BY_NAME[name]
-    report = FaultInjector(spec, run=run).run()
-    return report_to_payload(report, spec.prototype)
-
-
 def _check_fleet_mode(mode: str) -> None:
     from repro.fleet.wire import FLEET_MODES
 
@@ -175,10 +163,11 @@ def run_fleet(
     runner assembles catalog order).
 
     ``processes`` runs every function through
-    :func:`repro.fleet.worker.run_function` on :func:`run_tasks`:
-    inline when ``workers <= 1``, else the supervised pool (clamped to
-    the host's cores, never below one supervised worker).  ``remote``
-    hands wire-format shards to a service daemon's broker.
+    :func:`repro.fleet.worker.run_function` on the supervised pool of
+    :func:`run_tasks` (clamped to the host's cores, never below one
+    worker).  ``remote`` hands wire-format shards to a service
+    daemon's broker.  The campaign runner's width-1 ``serial`` mode
+    does not come here: it injects in its own process.
     """
     _check_fleet_mode(mode)
     if mode == "remote":
@@ -225,7 +214,8 @@ class CampaignRunner:
             if unknown:
                 raise KeyError(f"unknown functions: {', '.join(unknown)}")
             self.specs = [BY_NAME[n] for n in functions]
-        _check_fleet_mode(config.fleet or "processes")
+        if config.fleet is not None:
+            _check_fleet_mode(config.fleet)
         self.config = config
         self.telemetry = telemetry
         self.progress = progress
@@ -280,35 +270,6 @@ class CampaignRunner:
 
         # --------------------------------------------------- inject phase
         started = time.perf_counter()
-
-        def on_result(result: TaskResult) -> None:
-            report = None
-            if result.ok:
-                report = report_from_payload(result.payload, self.parser)
-                reports[result.name] = report
-                outcome = FunctionOutcome(
-                    result.name, digests[result.name], "ran",
-                    attempts=result.attempts, elapsed=result.elapsed,
-                )
-            else:
-                outcome = FunctionOutcome(
-                    result.name, digests[result.name], "failed",
-                    attempts=result.attempts, error=result.error,
-                )
-            outcomes[result.name] = outcome
-            telemetry.counter("campaign.functions", status=outcome.status).inc()
-            telemetry.event(
-                "campaign.progress", function=result.name, status=outcome.status
-            )
-            if self.store is not None:
-                if result.ok:
-                    self.store.put_payload(digests[result.name], result.payload)
-                # Checkpoint after every terminal function so a killed
-                # campaign resumes from here.
-                self._write_manifest(ident, names, digests, outcomes, timings)
-            if self.progress is not None:
-                self.progress(result.name, outcome, report)
-
         requested = config.workers if config.workers is not None else config.jobs
         if config.fleet == "remote":
             fleet_mode = "remote"
@@ -317,7 +278,58 @@ class CampaignRunner:
         workers = effective_jobs(
             requested, len(names), config.fleet or "processes"
         )
-        if misses:
+
+        def record(
+            outcome: FunctionOutcome,
+            report: Optional[InjectionReport] = None,
+            payload: Optional[dict] = None,
+        ) -> None:
+            """The bookkeeping every mode shares for one terminal
+            function: ``payload`` is the report's store encoding, None
+            for a failure or when no store is set."""
+            name = outcome.name
+            outcomes[name] = outcome
+            if report is not None:
+                reports[name] = report
+            telemetry.counter("campaign.functions", status=outcome.status).inc()
+            telemetry.event(
+                "campaign.progress", function=name, status=outcome.status
+            )
+            if self.store is not None:
+                if payload is not None:
+                    self.store.put_payload(digests[name], payload)
+                # Checkpoint after every terminal function so a killed
+                # campaign resumes from here.
+                self._write_manifest(
+                    ident, names, digests, outcomes, timings, workers
+                )
+            if self.progress is not None:
+                self.progress(name, outcome, report)
+
+        def on_result(result: TaskResult) -> None:
+            if result.ok:
+                record(
+                    FunctionOutcome(
+                        result.name, digests[result.name], "ran",
+                        attempts=result.attempts, elapsed=result.elapsed,
+                    ),
+                    report_from_payload(result.payload, self.parser),
+                    result.payload,
+                )
+            else:
+                record(
+                    FunctionOutcome(
+                        result.name, digests[result.name], "failed",
+                        attempts=result.attempts, error=result.error,
+                    )
+                )
+
+        if fleet_mode == "serial":
+            # Each injector.function span nests straight under the
+            # caller's campaign span.
+            for name in misses:
+                self._inject_here(name, digests[name], record)
+        elif misses:
             with telemetry.span(
                 "campaign.inject",
                 functions=len(misses),
@@ -348,7 +360,7 @@ class CampaignRunner:
         timings["finalize"] = time.perf_counter() - started
         timings["total"] = time.perf_counter() - total_started
         if self.store is not None:
-            self._write_manifest(ident, names, digests, outcomes, timings)
+            self._write_manifest(ident, names, digests, outcomes, timings, workers)
         result = CampaignResult(
             reports=reports, outcomes=outcomes,
             phase_timings=timings, campaign=ident,
@@ -357,6 +369,46 @@ class CampaignRunner:
         if config.ledger is not None:
             self._ingest_ledger(result)
         return result
+
+    def _inject_here(
+        self,
+        name: str,
+        digest: str,
+        record: Callable[..., None],
+    ) -> None:
+        """The ``serial`` mode: inject one function in this process,
+        under the campaign's telemetry, and hand the report to
+        ``record`` as it is.  An exception fails this function only."""
+        spec = BY_NAME[name]
+        started = time.perf_counter()
+        try:
+            report = FaultInjector(
+                spec, run=self.config.run, telemetry=self.telemetry
+            ).run()
+            payload = (
+                report_to_payload(report, spec.prototype)
+                if self.store is not None
+                else None
+            )
+        except Exception:  # noqa: BLE001 - one function's failure
+            import traceback
+
+            record(
+                FunctionOutcome(
+                    name, digest, "failed", attempts=1,
+                    elapsed=time.perf_counter() - started,
+                    error=traceback.format_exc(limit=20),
+                )
+            )
+        else:
+            record(
+                FunctionOutcome(
+                    name, digest, "ran", attempts=1,
+                    elapsed=time.perf_counter() - started,
+                ),
+                report,
+                payload,
+            )
 
     def _ingest_ledger(self, result: CampaignResult) -> None:
         """Record the finished campaign in the results ledger.
@@ -383,22 +435,10 @@ class CampaignRunner:
             telemetry.event("campaign.ledger_error", error=repr(exc))
 
     # ------------------------------------------------------------------
-    def _manifest_path(self) -> Optional[Path]:
+    def _load_manifest(self) -> Optional[dict]:
         if self.config.cache_dir is None:
             return None
-        return Path(self.config.cache_dir) / MANIFEST_NAME
-
-    def _load_manifest(self) -> Optional[dict]:
-        path = self._manifest_path()
-        if path is None or not path.exists():
-            return None
-        try:
-            manifest = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if manifest.get("schema") != CACHE_SCHEMA:
-            return None
-        return manifest
+        return load_manifest(self.config.cache_dir)
 
     def _write_manifest(
         self,
@@ -407,22 +447,14 @@ class CampaignRunner:
         digests: dict[str, str],
         outcomes: dict[str, FunctionOutcome],
         timings: dict[str, float],
+        workers: int,
     ) -> None:
-        path = self._manifest_path()
-        if path is None:
-            return
-        requested = (
-            self.config.workers
-            if self.config.workers is not None
-            else self.config.jobs
-        )
+        path = Path(self.config.cache_dir) / MANIFEST_NAME
         manifest = {
             "schema": CACHE_SCHEMA,
             "campaign": ident,
             "jobs": self.config.jobs,
-            "effective_jobs": effective_jobs(
-                requested, len(names), self.config.fleet or "processes"
-            ),
+            "effective_jobs": workers,
             "fleet": self.config.fleet,
             "fault_models": list(self.config.run.fault_models),
             "functions": [

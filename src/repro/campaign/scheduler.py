@@ -1,10 +1,11 @@
 """Deterministic sharding and the one supervised worker pool.
 
 The scheduler turns a list of task names into a set of
-:class:`TaskResult`\\ s, either inline (``jobs <= 1``) or by fanning
-out over a ``multiprocessing`` pool it supervises itself.  Every local
-parallel path runs here: ``campaign run --jobs N``, ``--fleet
-processes`` and the sharded Ballista sweep.
+:class:`TaskResult`\\ s by fanning out over a ``multiprocessing`` pool
+it supervises itself.  Every local parallel path runs here:
+``campaign run --jobs N``, ``--fleet processes`` and the sharded
+Ballista sweep.  A campaign of width one never comes here: the
+campaign runner injects it in its own process.
 
 * **Deterministic sharding** — :func:`plan_shards` stripes the task
   list round-robin; dispatch order interleaves the shards so early
@@ -39,7 +40,7 @@ itself after completing N tasks — the deterministic stand-in for
 ``kill -9`` that the recovery tests and the CI fleet job use to prove
 retry-on-death without racing a real signal against the pool.  The
 hook is read once per completion and does nothing when the variable
-is unset.  The inline path never calls it.
+is unset.
 
 The worker callable must be picklable (a module-level function or a
 ``functools.partial`` of one) and return a JSON-able payload dict.
@@ -47,14 +48,11 @@ The worker callable must be picklable (a module-level function or a
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import signal
 import threading
 import time
-import traceback
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
 from typing import Callable, Optional, Sequence
 
 from repro.obs.telemetry import NULL_TELEMETRY
@@ -184,7 +182,7 @@ _attempt = 1
 
 def current_attempt() -> int:
     """The 1-based attempt number of the task the calling process is
-    running; set by the pool (and the inline path) before each call."""
+    running; set by the pool before each call."""
     return _attempt
 
 
@@ -209,6 +207,8 @@ def _pool_worker(worker, task_q, conn):
     All sends share one lock because the heartbeat thread writes the
     same pipe.
     """
+    import traceback
+
     global _attempt
     send_lock = threading.Lock()
 
@@ -258,43 +258,6 @@ def _pool_worker(worker, task_q, conn):
 # ----------------------------------------------------------------------
 
 
-def _run_inline(
-    names: Sequence[str],
-    worker: Callable[[str], dict],
-    task_retries: int,
-    telemetry,
-    on_result,
-) -> dict[str, TaskResult]:
-    global _attempt
-    results: dict[str, TaskResult] = {}
-    for name in names:
-        attempts = 0
-        while True:
-            attempts += 1
-            _attempt = attempts
-            started = time.perf_counter()
-            try:
-                payload = worker(name)
-            except Exception:
-                if attempts <= task_retries:
-                    continue
-                result = TaskResult(
-                    name, "failed", error=traceback.format_exc(limit=20),
-                    elapsed=time.perf_counter() - started, attempts=attempts,
-                )
-            else:
-                result = TaskResult(
-                    name, "ok", payload=payload,
-                    elapsed=time.perf_counter() - started, attempts=attempts,
-                )
-            break
-        telemetry.counter("campaign.tasks", status=result.status).inc()
-        results[name] = result
-        if on_result is not None:
-            on_result(result)
-    return results
-
-
 class _WorkerSlot:
     """Parent-side view of one pool process."""
 
@@ -331,15 +294,18 @@ def run_tasks(
         return {}
     if len(set(names)) != len(names):
         raise ValueError("duplicate task names")
-    if jobs <= 1:
-        return _run_inline(names, worker, task_retries, telemetry, on_result)
+
+    # Imported here, not at module level: a width-1 campaign imports
+    # this module but never starts a pool.
+    import multiprocessing as mp
+    from multiprocessing import connection as mp_connection
 
     methods = mp.get_all_start_methods()
     ctx = mp.get_context("fork" if "fork" in methods else "spawn")
     task_q = ctx.Queue()
     # Clamp the pool to the host's cores; a supervised pool is kept
     # even at width 1 so timeout policing and crash containment still
-    # apply (the inline path above has neither).
+    # apply.
     width = clamp_jobs(jobs, len(names), mode="processes", telemetry=telemetry)
 
     def spawn() -> _WorkerSlot:

@@ -115,14 +115,6 @@ def _run_arg(args: argparse.Namespace):
         return None
 
 
-def _campaign_requested(args: argparse.Namespace) -> bool:
-    return bool(
-        getattr(args, "jobs", 1) > 1
-        or getattr(args, "cache_dir", None)
-        or getattr(args, "resume", False)
-    )
-
-
 def _campaign_config(args: argparse.Namespace, run):
     from repro.campaign import CampaignConfig
 
@@ -136,8 +128,8 @@ def _campaign_config(args: argparse.Namespace, run):
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
+    from repro.campaign import CampaignRunner
     from repro.declarations import apply_manual_edits, declaration_from_report
-    from repro.injector import InjectionReport, inject_function
     from repro.libc.catalog import BY_NAME
 
     unknown = [n for n in args.functions if n not in BY_NAME]
@@ -149,58 +141,32 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         return 2
     telemetry = _telemetry_for(args)
     rows: list[dict[str, object]] = []
-    failed: dict[str, str] = {}
-
-    def emit(name: str, report: InjectionReport) -> None:
+    with telemetry.span("campaign", kind="inject", functions=len(args.functions)):
+        result = CampaignRunner(
+            functions=args.functions,
+            config=_campaign_config(args, run),
+            telemetry=telemetry,
+        ).run()
+    for report in result.reports.values():
         declaration = declaration_from_report(report)
         if args.semi_auto:
             declaration = apply_manual_edits(declaration)
         if args.json:
-            row: dict[str, object] = {
-                "function": name,
-                "unsafe": report.unsafe,
-                "vectors": report.vectors_run,
-                "calls": report.calls_made,
-                "retries": report.retries,
-                "crashes": report.crashes,
-                "hangs": report.hangs,
-                "errno_class": report.errno_class.describe(),
-                "robust_types": [
-                    t.robust.render() for t in report.robust_types
-                ],
-                "assertions": sorted(declaration.assertions),
-            }
-            if report.fault_evidence:
-                row["unsafe_scenarios"] = list(report.unsafe_scenarios)
-            rows.append(row)
+            rows.append(
+                report.summary_row(
+                    tail={"assertions": sorted(declaration.assertions)}
+                )
+            )
         else:
             print(declaration.to_xml())
             print(f"<!-- {report.calls_made} calls, {report.retries} retries, "
                   f"{report.crashes} crashes -->\n")
-
-    if _campaign_requested(args):
-        from repro.campaign import CampaignRunner
-
-        runner = CampaignRunner(
-            functions=args.functions,
-            config=_campaign_config(args, run),
-            telemetry=telemetry,
-        )
-        result = runner.run()
-        for name in args.functions:
-            if name in result.reports:
-                emit(name, result.reports[name])
-        failed = result.failed
-    else:
-        with telemetry.span("campaign", kind="inject", functions=len(args.functions)):
-            for name in args.functions:
-                emit(name, inject_function(name, run=run, telemetry=telemetry))
     if args.json:
         print(json.dumps(rows, indent=2))
-    for name, error in failed.items():
+    for name, error in result.failed.items():
         print(f"failed: {name}: {error}", file=sys.stderr)
     _export_trace(telemetry, args)
-    return 1 if failed else 0
+    return 1 if result.failed else 0
 
 
 def _cmd_harden(args: argparse.Namespace) -> int:
@@ -279,37 +245,32 @@ def _cmd_harden(args: argparse.Namespace) -> int:
 
 def _cmd_ballista(args: argparse.Namespace) -> int:
     from repro.ballista import BallistaHarness
+    from repro.campaign import DEFAULT_CAMPAIGN_DIR
     from repro.core import HealersPipeline
-    from repro.core.cache import load_or_generate
     from repro.libc.catalog import BY_NAME
 
     run = _run_arg(args)
     if run is None:
         return 2
     telemetry = _telemetry_for(args)
+    cache_dir = args.cache_dir
+    if cache_dir is None and not args.functions:
+        # The full catalog is minutes of injection: reuse the shared
+        # content-addressed outcome store unless another was named.
+        cache_dir = DEFAULT_CAMPAIGN_DIR
+    hardened = HealersPipeline(
+        functions=args.functions or None,
+        run=run,
+        telemetry=telemetry,
+        jobs=args.jobs,
+        cache_dir=cache_dir,
+        resume=args.resume,
+    ).run()
     if args.functions:
-        hardened = HealersPipeline(
-            functions=args.functions,
-            run=run,
-            telemetry=telemetry,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            resume=args.resume,
-        ).run()
         harness = BallistaHarness(
             functions=[BY_NAME[n] for n in args.functions], telemetry=telemetry
         )
-    elif _campaign_requested(args):
-        hardened = HealersPipeline(
-            run=run,
-            telemetry=telemetry,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            resume=args.resume,
-        ).run()
-        harness = BallistaHarness(total_target=11995, telemetry=telemetry)
     else:
-        hardened = load_or_generate()
         harness = BallistaHarness(total_target=11995, telemetry=telemetry)
     if not args.json:
         print(f"{len(harness.tests())} tests")

@@ -1,19 +1,12 @@
 """HEALERS orchestration: the paper's primary contribution as an API."""
 
-from repro.core.cache import (
-    DEFAULT_CACHE,
-    load_declarations,
-    load_or_generate,
-    save_declarations,
-)
+from repro.core.cache import load_declarations, save_declarations
 from repro.core.pipeline import HardenedLibrary, HealersPipeline, harden
 
 __all__ = [
-    "DEFAULT_CACHE",
     "HardenedLibrary",
     "HealersPipeline",
     "harden",
     "load_declarations",
-    "load_or_generate",
     "save_declarations",
 ]

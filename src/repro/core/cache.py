@@ -1,22 +1,19 @@
-"""Disk cache for generated function declarations.
+"""The declaration bundle: phase 1's output as one XML file.
 
-Running the 86 fault injectors takes minutes; the benchmarks and the
-examples that only need phase-2 artifacts load declarations from an
-XML bundle instead (and regenerate it when missing) — mirroring how
-the real HEALERS persists function declarations between phases.
+``repro harden`` writes the automated declarations of a run next to
+the wrapper source (``declarations.xml``); ``repro diff`` compares two
+bundles across releases.  Manual edits are code, not data, so a bundle
+holds only the automated declarations.  Phase-1 reuse is the campaign
+outcome store's job (:mod:`repro.campaign.store`), which is keyed by
+content and so cannot serve a stale declaration.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from pathlib import Path
-from typing import Optional, Sequence
 
-from repro.core.pipeline import HardenedLibrary, HealersPipeline
-from repro.declarations import FunctionDeclaration, apply_all_manual_edits
-
-#: Default cache location, relative to the repository root.
-DEFAULT_CACHE = Path(__file__).resolve().parents[3] / ".healers_cache" / "declarations.xml"
+from repro.declarations import FunctionDeclaration
 
 
 def save_declarations(
@@ -37,33 +34,3 @@ def load_declarations(path: Path) -> dict[str, FunctionDeclaration]:
         declaration = FunctionDeclaration.from_xml(ET.tostring(element, encoding="unicode"))
         out[declaration.name] = declaration
     return out
-
-
-def load_or_generate(
-    functions: Optional[Sequence[str]] = None,
-    path: Path = DEFAULT_CACHE,
-    force: bool = False,
-) -> HardenedLibrary:
-    """Load cached declarations covering ``functions``, or run the
-    pipeline and cache the result.
-
-    The cached bundle stores the *automated* declarations; manual
-    edits are re-applied on load (they are code, not data).
-    """
-    wanted = set(functions) if functions is not None else None
-    if path.exists() and not force:
-        declarations = load_declarations(path)
-        if wanted is None or wanted.issubset(declarations):
-            if wanted is not None:
-                declarations = {n: d for n, d in declarations.items() if n in wanted}
-            return HardenedLibrary(
-                declarations=declarations,
-                semi_auto_declarations=apply_all_manual_edits(declarations),
-            )
-    hardened = HealersPipeline(functions=sorted(wanted) if wanted else None).run()
-    existing: dict[str, FunctionDeclaration] = {}
-    if path.exists():
-        existing = load_declarations(path)
-    existing.update(hardened.declarations)
-    save_declarations(existing, path)
-    return hardened

@@ -24,9 +24,8 @@ from repro.declarations import (
     apply_all_manual_edits,
     declaration_from_report,
 )
-from repro.injector import FaultInjector, InjectionReport, RunSpec
+from repro.injector import InjectionReport, RunSpec
 from repro.libc.catalog import BALLISTA_SET, BY_NAME, FunctionSpec
-from repro.libc.runtime import LibcRuntime, standard_runtime
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.wrapper import CheckConfig, WrapperLibrary, WrapperPolicy
 from repro.wrapper.codegen import generate_wrapper_library
@@ -40,12 +39,13 @@ class HardenedLibrary:
     semi_auto_declarations: dict[str, FunctionDeclaration]
     reports: dict[str, InjectionReport] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
-    #: Monotonic per-phase wall clocks ("inject", "manual_edits",
-    #: "total"; campaign runs add "plan"/"cache"/"finalize").
+    #: Monotonic per-phase wall clocks: the campaign's "plan", "cache",
+    #: "inject" and "finalize", then "manual_edits" and "total".
     phase_timings: dict[str, float] = field(default_factory=dict)
-    #: Functions the campaign could not complete (worker crash/hang
-    #: after retries) mapped to the failure reason; never populated by
-    #: the serial in-process path, which propagates exceptions.
+    #: Functions phase 1 could not complete, mapped to the failure
+    #: reason: an injector that raised (in process, or in a worker
+    #: after its retries) or a worker that crashed or hung.  They have
+    #: no declaration; every other function still does.
     failed_functions: dict[str, str] = field(default_factory=dict)
 
     def wrapper(
@@ -84,7 +84,6 @@ class HealersPipeline:
     def __init__(
         self,
         functions: Optional[Sequence[str]] = None,
-        runtime_factory: Callable[[], LibcRuntime] = standard_runtime,
         run: RunSpec = RunSpec(),
         progress: Optional[Callable[[str, InjectionReport], None]] = None,
         telemetry=NULL_TELEMETRY,
@@ -96,7 +95,6 @@ class HealersPipeline:
             self.specs: list[FunctionSpec] = list(BALLISTA_SET)
         else:
             self.specs = [BY_NAME[name] for name in functions]
-        self.runtime_factory = runtime_factory
         self.run_spec = run
         self.progress = progress
         self.telemetry = telemetry
@@ -105,82 +103,36 @@ class HealersPipeline:
         self.resume = resume
 
     def run(self) -> HardenedLibrary:
-        """Phase 1.  Serial and in-process by default; with ``jobs > 1``
-        or a ``cache_dir`` the run is delegated to the campaign engine
-        (same reports, catalog order, bit-identical declarations)."""
-        if self.jobs > 1 or self.cache_dir is not None:
-            return self._run_campaign()
-        telemetry = self.telemetry
-        started = time.perf_counter()
-        reports: dict[str, InjectionReport] = {}
-        declarations: dict[str, FunctionDeclaration] = {}
-        with telemetry.span(
-            "campaign", kind="harden", functions=len(self.specs)
-        ) as campaign:
-            for spec in self.specs:
-                injector = FaultInjector(
-                    spec,
-                    runtime_factory=self.runtime_factory,
-                    run=self.run_spec,
-                    telemetry=telemetry,
-                )
-                report = injector.run()
-                reports[spec.name] = report
-                declarations[spec.name] = declaration_from_report(report, spec.version)
-                if self.progress is not None:
-                    self.progress(spec.name, report)
-            inject_elapsed = time.perf_counter() - started
-            edits_started = time.perf_counter()
-            with telemetry.span("pipeline.manual_edits"):
-                semi = apply_all_manual_edits(declarations)
-            edits_elapsed = time.perf_counter() - edits_started
-            campaign.set(
-                calls=sum(r.calls_made for r in reports.values()),
-                crashes=sum(r.crashes for r in reports.values()),
-                unsafe=sum(1 for r in reports.values() if r.unsafe),
-            )
-        elapsed = time.perf_counter() - started
-        telemetry.timer("pipeline.run_seconds").observe(elapsed)
-        return HardenedLibrary(
-            declarations=declarations,
-            semi_auto_declarations=semi,
-            reports=reports,
-            elapsed_seconds=elapsed,
-            phase_timings={
-                "inject": inject_elapsed,
-                "manual_edits": edits_elapsed,
-                "total": elapsed,
-            },
-        )
-
-    def _run_campaign(self) -> HardenedLibrary:
-        """Managed run through :class:`repro.campaign.CampaignRunner`."""
+        """Phase 1 through :class:`repro.campaign.CampaignRunner`: in
+        this process for ``jobs=1``, on the worker pool above that,
+        served from the outcome store under ``cache_dir`` when set.
+        Every way yields the same reports, in catalog order."""
+        # Lazy, so that importing the pipeline does not pay for the
+        # campaign engine's modules.
         from repro.campaign import CampaignConfig, CampaignRunner
 
         telemetry = self.telemetry
         started = time.perf_counter()
-        config = CampaignConfig(
-            jobs=self.jobs,
-            cache_dir=self.cache_dir,
-            resume=self.resume,
-            run=self.run_spec,
-        )
         progress = self.progress
 
         def campaign_progress(name, outcome, report) -> None:
-            if progress is not None and report is not None:
+            if report is not None:
                 progress(name, report)
 
         with telemetry.span(
             "campaign", kind="harden", functions=len(self.specs), jobs=self.jobs
         ) as campaign:
-            runner = CampaignRunner(
+            result = CampaignRunner(
                 functions=[spec.name for spec in self.specs],
-                config=config,
+                config=CampaignConfig(
+                    jobs=self.jobs,
+                    cache_dir=self.cache_dir,
+                    resume=self.resume,
+                    run=self.run_spec,
+                ),
                 telemetry=telemetry,
-                progress=campaign_progress,
-            )
-            result = runner.run()
+                progress=campaign_progress if progress is not None else None,
+            ).run()
             declarations = {
                 spec.name: declaration_from_report(
                     result.reports[spec.name], spec.version

@@ -3,7 +3,8 @@
 A campaign's inject phase runs in one of three modes:
 
 serial
-    Inline in the calling process (``jobs`` / ``workers`` of 1).
+    In the campaign runner's own process (``jobs`` / ``workers`` of
+    1); a raising function fails alone, without retry or isolation.
 ``processes``
     The supervised pool of :func:`repro.campaign.scheduler.run_tasks`
     — heartbeats, per-task deadlines, retry on worker death — running
@@ -19,7 +20,7 @@ No code under ``src/`` draws from the global ``random`` module, so
 campaign output is bit-identical to serial execution no matter the
 transport, the worker count, or how many workers died along the way.
 :func:`run_fleet` (defined next to the campaign runner, which calls
-it) is the single entry point.
+it) is the single entry point of the two out-of-process modes.
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
 """What a fleet worker actually runs, regardless of transport.
 
-:func:`execute_function` is the single execution path every fleet mode
-shares: run the injector and serialize the report
+:func:`execute_function` is the execution path the two out-of-process
+fleet modes share: run the injector and serialize the report
 worker-side so only a JSON-able payload crosses the process or network
-boundary.  Bit-identical campaign output in every mode follows from
-this function being the only way work runs.  :func:`run_function`
-adapts it to the supervised pool of
-:func:`~repro.campaign.scheduler.run_tasks` (serial and ``processes``
-modes); :func:`execute_shard` runs it over a leased shard (``remote``).
+boundary.  :func:`run_function` adapts it to the supervised pool of
+:func:`~repro.campaign.scheduler.run_tasks` (``processes``);
+:func:`execute_shard` runs it over a leased shard (``remote``).  The
+``serial`` mode runs the same injector in the campaign's own process
+(:meth:`~repro.campaign.runner.CampaignRunner.run`) and keeps the
+report as it is; the store encoding is lossless, so every mode yields
+reports that compare equal.
 
 :func:`remote_worker_main` is the long-lived loop of a remote worker:
 register with the daemon (fingerprint-checked), lease shards, stream
@@ -52,14 +54,19 @@ def execute_function(
     worker: str = "",
 ) -> FunctionResult:
     """Run one function's injector and return its wire-encoded outcome
-    (never raises)."""
+    (never raises).  The run's fault models travel as canonical spec
+    strings and are resolved to model instances here, in the worker."""
     import traceback
 
     started = time.perf_counter()
     try:
-        from repro.campaign.runner import _inject_payload
+        from repro.campaign.store import report_to_payload
+        from repro.injector import FaultInjector
+        from repro.libc.catalog import BY_NAME
 
-        payload = _inject_payload(name, run)
+        spec = BY_NAME[name]
+        report = FaultInjector(spec, run=run).run()
+        payload = report_to_payload(report, spec.prototype)
     except BaseException:
         return FunctionResult(
             function=name,

@@ -187,6 +187,30 @@ class InjectionReport:
         beyond its baseline failures, sorted for stable output."""
         return tuple(sorted(e.key for e in self.fault_evidence if e.unsafe))
 
+    def summary_row(
+        self, head: Optional[dict] = None, tail: Optional[dict] = None
+    ) -> dict[str, object]:
+        """The JSON summary of ``repro inject --json`` and the service's
+        ``inject`` op.  ``head`` keys follow ``function``, ``tail`` keys
+        follow ``robust_types``; ``unsafe_scenarios`` comes last, and
+        only when fault models were armed."""
+        row: dict[str, object] = {
+            "function": self.name,
+            **(head or {}),
+            "unsafe": self.unsafe,
+            "vectors": self.vectors_run,
+            "calls": self.calls_made,
+            "retries": self.retries,
+            "crashes": self.crashes,
+            "hangs": self.hangs,
+            "errno_class": self.errno_class.describe(),
+            "robust_types": [t.robust.render() for t in self.robust_types],
+            **(tail or {}),
+        }
+        if self.fault_evidence:
+            row["unsafe_scenarios"] = list(self.unsafe_scenarios)
+        return row
+
 
 def auto_checkable(instance) -> bool:
     """Checkability of the fully automated wrapper generator."""

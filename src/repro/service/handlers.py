@@ -258,25 +258,6 @@ def _check_param_keys(op: str, params: dict) -> None:
         )
 
 
-def _report_row(name: str, report: InjectionReport, source: str, digest: str) -> dict:
-    row = {
-        "function": name,
-        "digest": digest,
-        "source": source,
-        "unsafe": report.unsafe,
-        "vectors": report.vectors_run,
-        "calls": report.calls_made,
-        "retries": report.retries,
-        "crashes": report.crashes,
-        "hangs": report.hangs,
-        "errno_class": report.errno_class.describe(),
-        "robust_types": [t.robust.render() for t in report.robust_types],
-    }
-    if report.fault_evidence:
-        row["unsafe_scenarios"] = list(report.unsafe_scenarios)
-    return row
-
-
 # ----------------------------------------------------------------------
 # endpoints
 # ----------------------------------------------------------------------
@@ -309,7 +290,9 @@ async def handle_inject(state: ServiceState, params: dict) -> dict:
     name = _function_param(params)
     run = _run_param(params)
     report, source = await state.report_for(name, run)
-    return _report_row(name, report, source, state.digest_for(name, run))
+    return report.summary_row(
+        head={"digest": state.digest_for(name, run), "source": source}
+    )
 
 
 async def handle_harden(state: ServiceState, params: dict) -> dict:

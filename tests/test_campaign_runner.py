@@ -12,10 +12,32 @@ from repro.campaign import (
     load_manifest,
 )
 from repro.core.pipeline import HealersPipeline
+from repro.fleet.wire import FunctionResult
+from repro.fleet.worker import execute_function
+from repro.injector import FaultInjector
 from repro.libc.catalog import BALLISTA_SET
 from repro.sandbox import Sandbox
 
 FNS = ["abs", "labs", "asctime"]
+
+
+class ExplodingInjector(FaultInjector):
+    """The injector, except that it raises for ``labs``."""
+
+    def run(self):
+        if self.spec.name == "labs":
+            raise RuntimeError("injector exploded")
+        return super().run()
+
+
+def exploding_execute(name, digest, *args, attempt=1, **kwargs):
+    """The pool worker's execution path, failing ``labs``."""
+    if name == "labs":
+        return FunctionResult(
+            function=name, digest=digest, status="failed",
+            attempt=attempt, elapsed=0.0, error="injector exploded",
+        )
+    return execute_function(name, digest, *args, attempt=attempt, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -100,27 +122,36 @@ class TestCampaignRunner:
         assert all(f["status"] in ("cached", "ran") for f in manifest["functions"])
 
     def test_failed_function_does_not_abort_campaign(self, monkeypatch):
-        real = runner_mod._inject_payload
-
-        def flaky(name, *args, **kwargs):
-            if name == "labs":
-                raise RuntimeError("injector exploded")
-            return real(name, *args, **kwargs)
-
-        monkeypatch.setattr(runner_mod, "_inject_payload", flaky)
-        result = CampaignRunner(
-            ["abs", "labs"], CampaignConfig(task_retries=0)
-        ).run()
+        monkeypatch.setattr(runner_mod, "FaultInjector", ExplodingInjector)
+        result = CampaignRunner(["abs", "labs"], CampaignConfig()).run()
+        assert result.fleet_mode == "serial"
         assert result.outcomes["abs"].status == "ran"
         assert result.outcomes["labs"].status == "failed"
+        assert result.outcomes["labs"].attempts == 1
         assert "injector exploded" in result.outcomes["labs"].error
         assert set(result.failed) == {"labs"}
         assert "labs" not in result.reports
 
-    def test_output_order_independent_of_completion_order(self, monkeypatch):
+    def test_output_order_independent_of_completion_order(self, tmp_path):
+        # The last function is already in the store, so it completes
+        # first (cache phase) and the others after it (inject phase):
+        # the result must still come out in catalog (request) order.
+        CampaignRunner(FNS[-1:], CampaignConfig(cache_dir=tmp_path)).run()
+        completions = []
+        result = CampaignRunner(
+            FNS,
+            CampaignConfig(cache_dir=tmp_path),
+            progress=lambda name, outcome, report: completions.append(name),
+        ).run()
+        assert completions == FNS[-1:] + FNS[:-1]
+        assert list(result.reports) == FNS
+        assert list(result.outcomes) == FNS
+
+    def test_pool_output_order_independent_of_completion_order(
+        self, monkeypatch
+    ):
         # Deterministically simulate an adversarial pool that reports
-        # completions in reverse: the result must still come out in
-        # catalog (request) order.
+        # completions in reverse.
         def reversed_pool(names, worker, on_result=None, **kwargs):
             results = {}
             for name in reversed(list(names)):
@@ -133,11 +164,24 @@ class TestCampaignRunner:
         monkeypatch.setattr(runner_mod, "run_tasks", reversed_pool)
         completions = []
         result = CampaignRunner(
-            FNS, progress=lambda name, outcome, report: completions.append(name)
+            FNS,
+            CampaignConfig(jobs=2),
+            progress=lambda name, outcome, report: completions.append(name),
         ).run()
         assert completions == list(reversed(FNS))
         assert list(result.reports) == FNS
         assert list(result.outcomes) == FNS
+
+    def test_serial_run_keeps_reports_unencoded(self, monkeypatch, baseline):
+        # Without a store the width-1 path never round-trips a report
+        # through its payload.
+        def poisoned(*args, **kwargs):
+            raise AssertionError("payload codec used without a store")
+
+        monkeypatch.setattr(runner_mod, "report_to_payload", poisoned)
+        monkeypatch.setattr(runner_mod, "report_from_payload", poisoned)
+        result = CampaignRunner(FNS, CampaignConfig()).run()
+        assert result.reports == baseline.reports
 
     def test_clean_cache(self, tmp_path):
         CampaignRunner(["abs"], CampaignConfig(cache_dir=tmp_path)).run()
@@ -171,16 +215,25 @@ class TestPipelineCampaign:
         assert "total" in serial.phase_timings
 
     def test_campaign_pipeline_reports_failures(self, monkeypatch):
-        real = runner_mod._inject_payload
-
-        def flaky(name, *args, **kwargs):
-            if name == "labs":
-                raise RuntimeError("injector exploded")
-            return real(name, *args, **kwargs)
-
-        monkeypatch.setattr(runner_mod, "_inject_payload", flaky)
+        monkeypatch.setattr(
+            "repro.fleet.worker.execute_function", exploding_execute
+        )
         hardened = HealersPipeline(
             functions=["abs", "labs"], jobs=2
         ).run()
         assert list(hardened.declarations) == ["abs"]
         assert set(hardened.failed_functions) == {"labs"}
+
+    def test_serial_pipeline_records_a_raising_function(self, monkeypatch):
+        # In process, a raising injector fails its function only: the
+        # run continues past it and the rest still get declarations.
+        monkeypatch.setattr(runner_mod, "FaultInjector", ExplodingInjector)
+        seen = []
+        hardened = HealersPipeline(
+            functions=["abs", "labs", "asctime"],
+            progress=lambda name, report: seen.append(name),
+        ).run()
+        assert list(hardened.declarations) == ["abs", "asctime"]
+        assert set(hardened.failed_functions) == {"labs"}
+        assert "injector exploded" in hardened.failed_functions["labs"]
+        assert seen == ["abs", "asctime"]

@@ -30,32 +30,12 @@ class TestSharding:
         assert plan_shards(names, 4) == plan_shards(names, 4)
 
 
-class TestRunTasksInline:
+class TestRunTasksPool:
     def test_empty_and_duplicates(self):
         assert run_tasks([], echo) == {}
         with pytest.raises(ValueError):
             run_tasks(["a", "a"], echo)
 
-    def test_happy_path(self):
-        results = run_tasks(["a1", "b1"], echo, jobs=1)
-        assert results["a1"].ok and results["a1"].payload == {"name": "a1"}
-        assert results["b1"].attempts == 1
-
-    def test_exception_retried_then_failed(self):
-        results = run_tasks(["boomX"], misbehave, jobs=1, task_retries=2)
-        result = results["boomX"]
-        assert result.status == "failed"
-        assert result.attempts == 3
-        assert "kaboom boomX" in result.error
-
-    def test_on_result_fires_in_task_order(self):
-        seen = []
-        run_tasks(["a1", "b1", "c1"], echo, jobs=1,
-                  on_result=lambda r: seen.append(r.name))
-        assert seen == ["a1", "b1", "c1"]
-
-
-class TestRunTasksPool:
     def test_all_tasks_complete_despite_slow_task(self):
         names = ["w0", "x1", "y2", "z3"]
         order = []
@@ -63,6 +43,8 @@ class TestRunTasksPool:
                             on_result=lambda r: order.append(r.name))
         assert sorted(order) == sorted(names)
         assert all(results[n].ok for n in names)
+        assert results["x1"].payload == {"name": "x1"}
+        assert results["x1"].attempts == 1
 
     def test_pool_survives_crash_hang_and_death(self):
         # One worker raises, one hangs past the deadline, one calls

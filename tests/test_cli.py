@@ -72,6 +72,45 @@ class TestBallista:
         assert "full-auto" not in out
 
 
+class TestBallistaRunSpec:
+    """``--fault-models`` arms phase 1 however ``repro ballista`` is
+    driven: a function subset, the full catalog from the outcome store,
+    or a worker pool."""
+
+    @pytest.mark.parametrize(
+        "argv", [["strlen"], [], ["--jobs", "2"]],
+        ids=["functions", "catalog", "jobs"],
+    )
+    def test_fault_models_reach_phase_one(self, argv, monkeypatch, tmp_path):
+        import repro.ballista
+        import repro.campaign
+        import repro.core
+        from repro.injector import RunSpec
+
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        class StubPipeline:
+            def __init__(self, *args, run=RunSpec(), **kwargs):
+                seen.append(run)
+
+            def run(self):
+                raise Stop
+
+        def no_harness(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(repro.core, "HealersPipeline", StubPipeline)
+        monkeypatch.setattr(repro.ballista, "BallistaHarness", no_harness)
+        monkeypatch.setattr(repro.campaign, "DEFAULT_CAMPAIGN_DIR", tmp_path)
+        with pytest.raises(Stop):
+            main(["ballista", *argv, "--unwrapped-only",
+                  "--fault-models", "callback,format"])
+        assert seen == [RunSpec.parse("callback,format")]
+
+
 class TestBitflips:
     def test_single_function_campaign(self, capsys):
         assert main(["bitflips", "strlen"]) == 0
@@ -168,6 +207,18 @@ class TestTraceAndReport:
         assert function["name"] == "injector.function"
         assert campaign["name"] == "campaign"
         assert campaign["parent"] is None
+
+    def test_harden_trace_records_vector_spans(self, tmp_path, capsys):
+        from repro.obs import read_trace
+
+        trace = tmp_path / "h.jsonl"
+        assert main(["harden", "abs", "-o", str(tmp_path / "out"),
+                     "--json", "--trace", str(trace)]) == 0
+        names = {
+            r["name"] for r in read_trace(trace) if r.get("type") == "span"
+        }
+        assert {"campaign", "injector.function", "injector.vector",
+                "sandbox.call"} <= names
 
     def test_report_json(self, tmp_path, capsys):
         import json

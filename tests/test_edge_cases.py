@@ -1,10 +1,9 @@
-"""Edge-case coverage: recursion guard, string-scan bounds, cache
-forcing, codegen corner cases, pool/harness details."""
+"""Edge-case coverage: recursion guard, string-scan bounds, outcome
+store keying, codegen corner cases, pool/harness details."""
 
 import pytest
 
 from repro.core import HealersPipeline
-from repro.core.cache import load_or_generate, save_declarations
 from repro.libc import standard_runtime
 from repro.memory import NULL, Protection
 from repro.typelattice import registry as R
@@ -70,18 +69,24 @@ class TestStringScanBounds:
         assert checks.string_length(pointer + 6) is None  # no NUL to block end
 
 
-class TestCacheForcing:
-    def test_force_regenerates(self, hardened, tmp_path):
-        path = tmp_path / "decls.xml"
-        stale = hardened.declarations["abs"].with_assertions("bogus_marker")
-        save_declarations({"abs": stale}, path)
-        refreshed = load_or_generate(functions=["abs"], path=path, force=True)
-        assert "bogus_marker" not in refreshed.declarations["abs"].assertions
+class TestOutcomeStoreKeying:
+    def test_changed_run_misses_the_store(self, tmp_path):
+        """The store is keyed by content: arming a fault model moves
+        the digest, so phase 1 re-runs instead of serving the unarmed
+        outcome."""
+        from repro.campaign import OutcomeStore
+        from repro.injector import RunSpec
 
-    def test_cache_subset_filtering(self, hardened, tmp_path):
-        path = tmp_path / "decls.xml"
-        save_declarations(hardened.declarations, path)
-        subset = load_or_generate(functions=["abs"], path=path)
+        HealersPipeline(functions=["abs"], cache_dir=tmp_path).run()
+        HealersPipeline(
+            functions=["abs"], cache_dir=tmp_path,
+            run=RunSpec.parse("callback"),
+        ).run()
+        assert len(OutcomeStore(tmp_path).entries()) == 2
+
+    def test_store_subset_filtering(self, tmp_path):
+        HealersPipeline(functions=["asctime", "abs"], cache_dir=tmp_path).run()
+        subset = HealersPipeline(functions=["abs"], cache_dir=tmp_path).run()
         assert set(subset.declarations) == {"abs"}
 
 

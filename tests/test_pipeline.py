@@ -67,22 +67,22 @@ class TestCache:
             == hardened.declarations["asctime"].arguments[0].robust_type
         )
 
-    def test_load_or_generate_uses_cache(self, hardened, tmp_path):
-        from repro.core.cache import load_or_generate
+    def test_warm_store_serves_pipeline(self, hardened, tmp_path):
+        cold = HealersPipeline(functions=["asctime"], cache_dir=tmp_path).run()
+        warm = HealersPipeline(functions=["asctime"], cache_dir=tmp_path).run()
+        assert warm.declarations["asctime"] == hardened.declarations["asctime"]
+        assert cold.declarations == warm.declarations
 
-        path = tmp_path / "decls.xml"
-        save_declarations(hardened.declarations, path)
-        result = load_or_generate(functions=["asctime"], path=path)
-        assert result.declarations["asctime"] == hardened.declarations["asctime"]
+    def test_store_extends_with_new_functions(self, tmp_path):
+        from repro.campaign import OutcomeStore
 
-    def test_load_or_generate_extends_cache(self, hardened, tmp_path):
-        from repro.core.cache import load_or_generate
-
-        path = tmp_path / "decls.xml"
-        save_declarations({"abs": hardened.declarations["abs"]}, path)
-        result = load_or_generate(functions=["abs", "strlen"], path=path)
-        assert "strlen" in result.declarations
-        assert "strlen" in load_declarations(path)
+        HealersPipeline(functions=["abs"], cache_dir=tmp_path).run()
+        assert len(OutcomeStore(tmp_path).entries()) == 1
+        result = HealersPipeline(
+            functions=["abs", "strlen"], cache_dir=tmp_path
+        ).run()
+        assert list(result.declarations) == ["abs", "strlen"]
+        assert len(OutcomeStore(tmp_path).entries()) == 2
 
 
 class TestFullSetAgainstPaper:
