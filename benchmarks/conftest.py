@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import DEFAULT_CAMPAIGN_DIR
+from repro.campaign import DEFAULT_CAMPAIGN_DIR, CampaignConfig
 from repro.core import HealersPipeline
 
 #: Where the bench artifacts live (the repo root).
@@ -23,7 +23,9 @@ BENCH_ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(scope="session")
 def hardened86():
-    return HealersPipeline(cache_dir=DEFAULT_CAMPAIGN_DIR).run()
+    return HealersPipeline(
+        config=CampaignConfig(cache_dir=DEFAULT_CAMPAIGN_DIR)
+    ).run()
 
 
 def pytest_sessionfinish(session, exitstatus):

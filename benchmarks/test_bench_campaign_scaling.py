@@ -64,7 +64,7 @@ def test_campaign_scaling(tmp_path):
     cache_dir = tmp_path / "campaign-cache"
     processes, process_seconds = _timed_campaign(
         CampaignConfig(
-            fleet="processes", workers=PARALLEL_JOBS, cache_dir=cache_dir
+            fleet="processes", jobs=PARALLEL_JOBS, cache_dir=cache_dir
         )
     )
     assert processes.ran == len(BENCH_FUNCTIONS)
@@ -76,7 +76,7 @@ def test_campaign_scaling(tmp_path):
 
     warm, warm_seconds = _timed_campaign(
         CampaignConfig(
-            fleet="processes", workers=PARALLEL_JOBS, cache_dir=cache_dir
+            fleet="processes", jobs=PARALLEL_JOBS, cache_dir=cache_dir
         )
     )
     assert warm.cache_hits == len(BENCH_FUNCTIONS)
@@ -125,7 +125,7 @@ def test_campaign_scaling(tmp_path):
     assert warm_seconds < serial_seconds, "warm cache slower than injection"
     if cores >= PARALLEL_JOBS:
         assert process_speedup >= MIN_SPEEDUP, (
-            f"--fleet processes --workers {PARALLEL_JOBS} gave "
+            f"--fleet processes --jobs {PARALLEL_JOBS} gave "
             f"{process_speedup:.2f}x (serial {serial_seconds:.1f}s vs "
             f"process fleet {process_seconds:.1f}s); bar is "
             f"{MIN_SPEEDUP:.1f}x"

@@ -75,7 +75,7 @@ def test_fleet_bench(tmp_path, monkeypatch):
     processes, process_seconds = _timed(
         BASELINE_FUNCTIONS,
         CampaignConfig(
-            fleet="processes", workers=2, cache_dir=tmp_path / "proc"
+            fleet="processes", jobs=2, cache_dir=tmp_path / "proc"
         ),
     )
     _assert_identical(processes, serial, BASELINE_FUNCTIONS)
@@ -83,7 +83,7 @@ def test_fleet_bench(tmp_path, monkeypatch):
     remote, remote_seconds = _timed(
         BASELINE_FUNCTIONS,
         CampaignConfig(
-            fleet="remote", workers=2, cache_dir=tmp_path / "remote"
+            fleet="remote", jobs=2, cache_dir=tmp_path / "remote"
         ),
     )
     _assert_identical(remote, serial, BASELINE_FUNCTIONS)
@@ -96,7 +96,7 @@ def test_fleet_bench(tmp_path, monkeypatch):
     chaos_telemetry = Telemetry()
     chaos, chaos_seconds = _timed(
         BASELINE_FUNCTIONS,
-        CampaignConfig(fleet="processes", workers=2),
+        CampaignConfig(fleet="processes", jobs=2),
         telemetry=chaos_telemetry,
     )
     monkeypatch.delenv(CHAOS_ENV)
@@ -118,7 +118,7 @@ def test_fleet_bench(tmp_path, monkeypatch):
     speedup_fleet, speedup_fleet_seconds = _timed(
         SPEEDUP_FUNCTIONS,
         CampaignConfig(
-            fleet="processes", workers=SPEEDUP_WORKERS, cache_dir=fleet_cache
+            fleet="processes", jobs=SPEEDUP_WORKERS, cache_dir=fleet_cache
         ),
     )
     _assert_identical(speedup_fleet, speedup_serial, SPEEDUP_FUNCTIONS)
@@ -132,7 +132,7 @@ def test_fleet_bench(tmp_path, monkeypatch):
     warm, warm_seconds = _timed(
         SPEEDUP_FUNCTIONS,
         CampaignConfig(
-            fleet="processes", workers=SPEEDUP_WORKERS, cache_dir=fleet_cache
+            fleet="processes", jobs=SPEEDUP_WORKERS, cache_dir=fleet_cache
         ),
     )
     assert warm.cache_hits == len(SPEEDUP_FUNCTIONS)

@@ -20,10 +20,11 @@ managed campaign:
    worker completion order), persist fresh outcomes to the store, and
    checkpoint the manifest.
 
-The manifest (``<cache_dir>/manifest.json``) is rewritten atomically
-after every completed function, so ``resume=True`` after a
-mid-campaign kill continues from the last checkpoint: completed
-functions hit the content-addressed store, only the remainder runs.
+Resuming needs no option: after a mid-campaign kill, a re-run serves
+every function that finished from the content-addressed store and
+injects only the remainder.  The manifest
+(``<cache_dir>/manifest.json``), rewritten atomically after every
+completed function, is what ``repro campaign status`` reads.
 """
 
 from __future__ import annotations
@@ -65,25 +66,19 @@ MANIFEST_NAME = "manifest.json"
 class CampaignConfig:
     """Execution knobs of one campaign run."""
 
+    #: Worker count of the inject phase: one injects in this process.
     jobs: int = 1
     cache_dir: Optional[Path] = None
-    resume: bool = False
-    #: Per-function deadline and extra attempts of the pool and remote
-    #: modes; the serial mode runs each function once, in process.
-    timeout: Optional[float] = DEFAULT_TASK_TIMEOUT
-    task_retries: int = DEFAULT_TASK_RETRIES
     #: The vector cap and armed fault models every function runs
     #: under; its digest block keys the outcome store.
     run: RunSpec = RunSpec()
     #: When set, the finished campaign is ingested into this results
     #: ledger (``repro.obs.ledger``) at finalize time.
     ledger: Optional[Path] = None
-    #: Fleet execution mode (``processes`` | ``remote``); None is the
-    #: ``processes`` mode, which runs in this process for a width of 1
-    #: and on the supervised pool otherwise.
-    fleet: Optional[str] = None
-    #: Fleet worker count; defaults to ``jobs`` when unset.
-    workers: Optional[int] = None
+    #: Fleet execution mode: ``processes`` runs in this process for a
+    #: width of 1 and on the supervised pool otherwise; ``remote``
+    #: hands shards to a service daemon's workers.
+    fleet: str = "processes"
     #: ``HOST:PORT`` of an already-running daemon for the remote fleet;
     #: None self-hosts a loopback daemon for the campaign's duration.
     fleet_address: Optional[str] = None
@@ -213,9 +208,9 @@ class CampaignRunner:
             unknown = [n for n in functions if n not in BY_NAME]
             if unknown:
                 raise KeyError(f"unknown functions: {', '.join(unknown)}")
-            self.specs = [BY_NAME[n] for n in functions]
-        if config.fleet is not None:
-            _check_fleet_mode(config.fleet)
+            # A name given twice is one function (first position kept).
+            self.specs = [BY_NAME[n] for n in dict.fromkeys(functions)]
+        _check_fleet_mode(config.fleet)
         self.config = config
         self.telemetry = telemetry
         self.progress = progress
@@ -245,10 +240,6 @@ class CampaignRunner:
 
         outcomes: dict[str, FunctionOutcome] = {}
         reports: dict[str, InjectionReport] = {}
-        previous = self._load_manifest() if config.resume else None
-        if previous is not None and previous.get("campaign") != ident:
-            telemetry.event("campaign.resume_mismatch", found=previous.get("campaign"))
-            previous = None
 
         # ---------------------------------------------------- cache phase
         started = time.perf_counter()
@@ -270,14 +261,11 @@ class CampaignRunner:
 
         # --------------------------------------------------- inject phase
         started = time.perf_counter()
-        requested = config.workers if config.workers is not None else config.jobs
         if config.fleet == "remote":
             fleet_mode = "remote"
         else:
-            fleet_mode = "processes" if requested > 1 else "serial"
-        workers = effective_jobs(
-            requested, len(names), config.fleet or "processes"
-        )
+            fleet_mode = "processes" if config.jobs > 1 else "serial"
+        workers = effective_jobs(config.jobs, len(names), config.fleet)
 
         def record(
             outcome: FunctionOutcome,
@@ -298,8 +286,9 @@ class CampaignRunner:
             if self.store is not None:
                 if payload is not None:
                     self.store.put_payload(digests[name], payload)
-                # Checkpoint after every terminal function so a killed
-                # campaign resumes from here.
+                # Checkpoint after every terminal function so that
+                # `repro campaign status` shows a killed campaign's
+                # progress (a re-run resumes from the store).
                 self._write_manifest(
                     ident, names, digests, outcomes, timings, workers
                 )
@@ -337,14 +326,12 @@ class CampaignRunner:
                 fleet=fleet_mode,
             ):
                 run_fleet(
-                    config.fleet or "processes",
+                    config.fleet,
                     misses,
                     digests,
                     campaign=ident,
-                    workers=requested,
+                    workers=config.jobs,
                     run=config.run,
-                    timeout=config.timeout,
-                    task_retries=config.task_retries,
                     telemetry=telemetry,
                     on_result=on_result,
                     cache_dir=config.cache_dir,
@@ -435,11 +422,6 @@ class CampaignRunner:
             telemetry.event("campaign.ledger_error", error=repr(exc))
 
     # ------------------------------------------------------------------
-    def _load_manifest(self) -> Optional[dict]:
-        if self.config.cache_dir is None:
-            return None
-        return load_manifest(self.config.cache_dir)
-
     def _write_manifest(
         self,
         ident: str,

@@ -7,9 +7,9 @@ Exposes the pipeline the way the real HEALERS tooling would be driven:
 * ``harden``             — run the pipeline and write the C artifacts
 * ``ballista``           — the Figure-6 robustness evaluation
 * ``campaign``           — managed campaigns: run / status / clean
-  (``run --fleet {processes,remote} --workers N`` executes the inject
-  phase on the :mod:`repro.fleet` fabric; ``--jobs N`` is ``--fleet
-  processes --workers N``)
+  (``run --fleet {processes,remote} --jobs N`` executes the inject
+  phase on the :mod:`repro.fleet` fabric; ``processes`` is the
+  default)
 * ``serve``              — the hardening-as-a-service daemon
 * ``query``              — one request against a running daemon
 * ``fleet``              — remote campaign workers (``fleet worker
@@ -25,9 +25,9 @@ Exposes the pipeline the way the real HEALERS tooling would be driven:
 
 ``inject``, ``harden`` and ``ballista`` accept ``--trace PATH`` to
 record the run's telemetry as a JSONL trace readable by ``report``,
-plus the campaign engine's ``--jobs N`` / ``--cache-dir DIR`` /
-``--resume`` (fan-out over the supervised process pool,
-content-addressed outcome reuse, and checkpoint continuation);
+plus the campaign engine's ``--jobs N`` / ``--cache-dir DIR``
+(fan-out over the supervised process pool, and content-addressed
+outcome reuse, which also resumes an interrupted campaign);
 ``extract``, ``inject``, ``harden`` and ``ballista`` accept ``--json``
 for scriptable output.
 """
@@ -115,26 +115,39 @@ def _run_arg(args: argparse.Namespace):
         return None
 
 
-def _campaign_config(args: argparse.Namespace, run):
+def _known_functions(names: Sequence[str]) -> bool:
+    """True when the catalog has every name; else prints the unknown
+    ones (callers then return exit code 2)."""
+    from repro.libc.catalog import BY_NAME
+
+    unknown = [n for n in names if n not in BY_NAME]
+    if unknown:
+        print(f"unknown functions: {', '.join(unknown)}", file=sys.stderr)
+    return not unknown
+
+
+def _campaign_config(args: argparse.Namespace, run, cache_dir=None):
+    """The :class:`~repro.campaign.CampaignConfig` a command's options
+    ask for; ``cache_dir`` stands in when ``--cache-dir`` is absent."""
     from repro.campaign import CampaignConfig
 
-    cache_dir = getattr(args, "cache_dir", None)
+    cache_dir = args.cache_dir or cache_dir
+    ledger = getattr(args, "ledger", None)
     return CampaignConfig(
-        jobs=getattr(args, "jobs", 1),
+        jobs=args.jobs,
         cache_dir=Path(cache_dir) if cache_dir else None,
-        resume=getattr(args, "resume", False),
         run=run,
+        ledger=Path(ledger) if ledger else None,
+        fleet=getattr(args, "fleet", "processes"),
+        fleet_address=getattr(args, "connect", None),
     )
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignRunner
     from repro.declarations import apply_manual_edits, declaration_from_report
-    from repro.libc.catalog import BY_NAME
 
-    unknown = [n for n in args.functions if n not in BY_NAME]
-    if unknown:
-        print(f"unknown functions: {', '.join(unknown)}", file=sys.stderr)
+    if not _known_functions(args.functions):
         return 2
     run = _run_arg(args)
     if run is None:
@@ -174,7 +187,8 @@ def _cmd_harden(args: argparse.Namespace) -> int:
     from repro.core.cache import save_declarations
     from repro.wrapper import generate_checks_header
 
-    functions = args.functions or None
+    if not _known_functions(args.functions):
+        return 2
     run = _run_arg(args)
     if run is None:
         return 2
@@ -184,16 +198,12 @@ def _cmd_harden(args: argparse.Namespace) -> int:
         progress = lambda name, report: print(  # noqa: E731
             f"  {'UNSAFE' if report.unsafe else 'safe  '} {name}"
         )
-    pipeline = HealersPipeline(
-        functions=functions,
-        run=run,
+    hardened = HealersPipeline(
+        functions=args.functions or None,
+        config=_campaign_config(args, run),
         progress=progress,
         telemetry=telemetry,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-    )
-    hardened = pipeline.run()
+    ).run()
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     (out / "healers_wrapper.c").write_text(
@@ -249,23 +259,28 @@ def _cmd_ballista(args: argparse.Namespace) -> int:
     from repro.core import HealersPipeline
     from repro.libc.catalog import BY_NAME
 
+    if not _known_functions(args.functions):
+        return 2
     run = _run_arg(args)
     if run is None:
         return 2
     telemetry = _telemetry_for(args)
-    cache_dir = args.cache_dir
-    if cache_dir is None and not args.functions:
-        # The full catalog is minutes of injection: reuse the shared
-        # content-addressed outcome store unless another was named.
-        cache_dir = DEFAULT_CAMPAIGN_DIR
-    hardened = HealersPipeline(
-        functions=args.functions or None,
-        run=run,
-        telemetry=telemetry,
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        resume=args.resume,
-    ).run()
+    configurations = [("unwrapped", None)]
+    if not args.unwrapped_only:
+        # Phase 1 only feeds the wrappers.  The full catalog is minutes
+        # of injection: reuse the shared content-addressed outcome
+        # store unless another was named.
+        hardened = HealersPipeline(
+            functions=args.functions or None,
+            config=_campaign_config(
+                args, run, None if args.functions else DEFAULT_CAMPAIGN_DIR
+            ),
+            telemetry=telemetry,
+        ).run()
+        configurations += [
+            ("full-auto", hardened.wrapper(telemetry=telemetry)),
+            ("semi-auto", hardened.wrapper(semi_auto=True, telemetry=telemetry)),
+        ]
     if args.functions:
         harness = BallistaHarness(
             functions=[BY_NAME[n] for n in args.functions], telemetry=telemetry
@@ -274,12 +289,6 @@ def _cmd_ballista(args: argparse.Namespace) -> int:
         harness = BallistaHarness(total_target=11995, telemetry=telemetry)
     if not args.json:
         print(f"{len(harness.tests())} tests")
-    configurations = [("unwrapped", None)]
-    if not args.unwrapped_only:
-        configurations += [
-            ("full-auto", hardened.wrapper(telemetry=telemetry)),
-            ("semi-auto", hardened.wrapper(semi_auto=True, telemetry=telemetry)),
-        ]
     from repro.ballista import render_figure6
 
     reports = [
@@ -325,12 +334,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _campaign_run(args: argparse.Namespace, cache_dir: Path) -> int:
-    from repro.campaign import CampaignConfig, CampaignRunner
-    from repro.libc.catalog import BY_NAME
+    from repro.campaign import CampaignRunner
 
-    unknown = [n for n in args.functions if n not in BY_NAME]
-    if unknown:
-        print(f"unknown functions: {', '.join(unknown)}", file=sys.stderr)
+    if not _known_functions(args.functions):
         return 2
     run = _run_arg(args)
     if run is None:
@@ -344,13 +350,7 @@ def _campaign_run(args: argparse.Namespace, cache_dir: Path) -> int:
         )
     runner = CampaignRunner(
         functions=args.functions or None,
-        config=CampaignConfig(
-            jobs=args.jobs, cache_dir=cache_dir, resume=args.resume,
-            ledger=Path(args.ledger) if args.ledger else None,
-            fleet=args.fleet, workers=args.workers,
-            fleet_address=args.connect,
-            run=run,
-        ),
+        config=_campaign_config(args, run, cache_dir),
         telemetry=telemetry,
         progress=progress,
     )
@@ -812,10 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="fan the injection campaign out over N workers")
         cmd.add_argument("--cache-dir", metavar="DIR",
-                         help="content-addressed outcome cache directory")
-        cmd.add_argument("--resume", action="store_true",
-                         help="continue an interrupted campaign from its "
-                              "checkpoint manifest")
+                         help="content-addressed outcome cache directory "
+                              "(a re-run resumes an interrupted campaign)")
         fault_models_option(cmd)
 
     inject = sub.add_parser("inject", help="fault-inject functions, print declarations")
@@ -859,21 +857,20 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("functions", nargs="*",
                               help="functions (default: the 86-function set)")
     campaign_run.add_argument("--jobs", type=int, default=1, metavar="N",
-                              help="same as --fleet processes --workers N")
+                              help="fleet worker count (1 injects in this "
+                                   "process under --fleet processes)")
     campaign_run.add_argument("--fleet", choices=["processes", "remote"],
+                              default="processes",
                               help="execute the inject phase on a fleet: "
-                                   "processes (the supervised local pool) or "
-                                   "remote (workers lease shards from a "
-                                   "service daemon)")
-    campaign_run.add_argument("--workers", type=int, default=None, metavar="N",
-                              help="fleet worker count (default: --jobs)")
+                                   "processes (the supervised local pool, "
+                                   "the default) or remote (workers lease "
+                                   "shards from a service daemon)")
     campaign_run.add_argument("--connect", metavar="HOST:PORT",
                               help="submit to this running daemon instead of "
                                    "self-hosting one (remote fleet only)")
     campaign_run.add_argument("--cache-dir", metavar="DIR",
                               help="cache directory (default: "
                                    ".healers_cache/campaign)")
-    campaign_run.add_argument("--resume", action="store_true")
     campaign_run.add_argument("--json", action="store_true")
     campaign_run.add_argument("--trace", metavar="PATH")
     campaign_run.add_argument("--ledger", metavar="DB",

@@ -16,19 +16,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.declarations import (
     FunctionDeclaration,
     apply_all_manual_edits,
     declaration_from_report,
 )
-from repro.injector import InjectionReport, RunSpec
-from repro.libc.catalog import BALLISTA_SET, BY_NAME, FunctionSpec
+from repro.injector import InjectionReport
+from repro.libc.catalog import BY_NAME
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.wrapper import CheckConfig, WrapperLibrary, WrapperPolicy
 from repro.wrapper.codegen import generate_wrapper_library
+
+if TYPE_CHECKING:
+    from repro.campaign import CampaignConfig
 
 
 @dataclass
@@ -47,6 +49,28 @@ class HardenedLibrary:
     #: after its retries) or a worker that crashed or hung.  They have
     #: no declaration; every other function still does.
     failed_functions: dict[str, str] = field(default_factory=dict)
+
+    @classmethod
+    def from_reports(
+        cls, reports: dict[str, InjectionReport], telemetry=NULL_TELEMETRY
+    ) -> HardenedLibrary:
+        """Figure 1's Fault-Injector -> Function Declaration step: one
+        declaration per report, in the reports' order, plus the
+        semi-automatic set (the manual edits applied on top).  The
+        edits' wall clock is ``phase_timings["manual_edits"]``."""
+        declarations = {
+            name: declaration_from_report(report, BY_NAME[name].version)
+            for name, report in reports.items()
+        }
+        started = time.perf_counter()
+        with telemetry.span("pipeline.manual_edits"):
+            semi = apply_all_manual_edits(declarations)
+        return cls(
+            declarations,
+            semi,
+            reports=reports,
+            phase_timings={"manual_edits": time.perf_counter() - started},
+        )
 
     def wrapper(
         self,
@@ -84,33 +108,25 @@ class HealersPipeline:
     def __init__(
         self,
         functions: Optional[Sequence[str]] = None,
-        run: RunSpec = RunSpec(),
+        config: Optional[CampaignConfig] = None,
         progress: Optional[Callable[[str, InjectionReport], None]] = None,
         telemetry=NULL_TELEMETRY,
-        jobs: int = 1,
-        cache_dir: Optional[Path | str] = None,
-        resume: bool = False,
     ) -> None:
-        if functions is None:
-            self.specs: list[FunctionSpec] = list(BALLISTA_SET)
-        else:
-            self.specs = [BY_NAME[name] for name in functions]
-        self.run_spec = run
+        self.functions = functions
+        self.config = config
         self.progress = progress
         self.telemetry = telemetry
-        self.jobs = jobs
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.resume = resume
 
     def run(self) -> HardenedLibrary:
-        """Phase 1 through :class:`repro.campaign.CampaignRunner`: in
-        this process for ``jobs=1``, on the worker pool above that,
-        served from the outcome store under ``cache_dir`` when set.
-        Every way yields the same reports, in catalog order."""
+        """Phase 1 through :class:`repro.campaign.CampaignRunner` under
+        ``config`` (default: one job in this process, no store), then
+        the declarations.  Every config yields the same reports, in
+        catalog order."""
         # Lazy, so that importing the pipeline does not pay for the
         # campaign engine's modules.
         from repro.campaign import CampaignConfig, CampaignRunner
 
+        config = self.config if self.config is not None else CampaignConfig()
         telemetry = self.telemetry
         started = time.perf_counter()
         progress = self.progress
@@ -119,31 +135,18 @@ class HealersPipeline:
             if report is not None:
                 progress(name, report)
 
+        runner = CampaignRunner(
+            functions=self.functions,
+            config=config,
+            telemetry=telemetry,
+            progress=campaign_progress if progress is not None else None,
+        )
         with telemetry.span(
-            "campaign", kind="harden", functions=len(self.specs), jobs=self.jobs
+            "campaign", kind="harden", functions=len(runner.specs),
+            jobs=config.jobs,
         ) as campaign:
-            result = CampaignRunner(
-                functions=[spec.name for spec in self.specs],
-                config=CampaignConfig(
-                    jobs=self.jobs,
-                    cache_dir=self.cache_dir,
-                    resume=self.resume,
-                    run=self.run_spec,
-                ),
-                telemetry=telemetry,
-                progress=campaign_progress if progress is not None else None,
-            ).run()
-            declarations = {
-                spec.name: declaration_from_report(
-                    result.reports[spec.name], spec.version
-                )
-                for spec in self.specs
-                if spec.name in result.reports
-            }
-            edits_started = time.perf_counter()
-            with telemetry.span("pipeline.manual_edits"):
-                semi = apply_all_manual_edits(declarations)
-            edits_elapsed = time.perf_counter() - edits_started
+            result = runner.run()
+            hardened = HardenedLibrary.from_reports(result.reports, telemetry)
             campaign.set(
                 calls=sum(r.calls_made for r in result.reports.values()),
                 crashes=sum(r.crashes for r in result.reports.values()),
@@ -153,28 +156,19 @@ class HealersPipeline:
             )
         elapsed = time.perf_counter() - started
         telemetry.timer("pipeline.run_seconds").observe(elapsed)
-        timings = dict(result.phase_timings)
-        timings["manual_edits"] = edits_elapsed
-        timings["total"] = elapsed
-        return HardenedLibrary(
-            declarations=declarations,
-            semi_auto_declarations=semi,
-            reports=result.reports,
-            elapsed_seconds=elapsed,
-            phase_timings=timings,
-            failed_functions=result.failed,
-        )
+        hardened.phase_timings = {
+            **result.phase_timings,
+            **hardened.phase_timings,
+            "total": elapsed,
+        }
+        hardened.elapsed_seconds = elapsed
+        hardened.failed_functions = result.failed
+        return hardened
 
 
 def harden(
     functions: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache_dir: Optional[Path | str] = None,
-    resume: bool = False,
-    run: RunSpec = RunSpec(),
+    config: Optional[CampaignConfig] = None,
 ) -> HardenedLibrary:
     """One-call convenience wrapper around the pipeline."""
-    return HealersPipeline(
-        functions=functions, run=run, jobs=jobs, cache_dir=cache_dir,
-        resume=resume,
-    ).run()
+    return HealersPipeline(functions=functions, config=config).run()

@@ -298,7 +298,7 @@ async def handle_inject(state: ServiceState, params: dict) -> dict:
 async def handle_harden(state: ServiceState, params: dict) -> dict:
     """Harden a function set; returns declarations and optionally the
     generated C wrapper source."""
-    from repro.declarations import apply_all_manual_edits, declaration_from_report
+    from repro.core.pipeline import HardenedLibrary
 
     _check_param_keys("harden", params)
     names = _functions_param(params, required=False)
@@ -308,7 +308,7 @@ async def handle_harden(state: ServiceState, params: dict) -> dict:
     results = await asyncio.gather(
         *(state.report_for(spec.name) for spec in specs), return_exceptions=True
     )
-    declarations: dict[str, object] = {}
+    reports: dict[str, InjectionReport] = {}
     sources: dict[str, str] = {}
     failed: dict[str, str] = {}
     for spec, outcome in zip(specs, results):
@@ -317,11 +317,13 @@ async def handle_harden(state: ServiceState, params: dict) -> dict:
                 raise outcome
             failed[spec.name] = str(outcome)
             continue
-        report, source = outcome
-        declarations[spec.name] = declaration_from_report(report, spec.version)
-        sources[spec.name] = source
-    semi = apply_all_manual_edits(declarations)
-    chosen = semi if params.get("semi_auto") else declarations
+        reports[spec.name], sources[spec.name] = outcome
+    hardened = HardenedLibrary.from_reports(reports)
+    declarations = hardened.declarations
+    chosen = (
+        hardened.semi_auto_declarations if params.get("semi_auto")
+        else declarations
+    )
     result: dict[str, object] = {
         "functions": list(names),
         "unsafe": sorted(n for n, d in declarations.items() if d.unsafe),
@@ -359,17 +361,8 @@ async def handle_ballista(state: ServiceState, params: dict) -> dict:
     def evaluate() -> dict:
         from repro.ballista import BallistaHarness
         from repro.core.pipeline import HardenedLibrary
-        from repro.declarations import apply_all_manual_edits, declaration_from_report
 
-        declarations = {
-            spec.name: declaration_from_report(reports[spec.name], spec.version)
-            for spec in specs
-        }
-        hardened = HardenedLibrary(
-            declarations=declarations,
-            semi_auto_declarations=apply_all_manual_edits(declarations),
-            reports=reports,
-        )
+        hardened = HardenedLibrary.from_reports(reports)
         harness = BallistaHarness(functions=specs)
         rows = []
         for label in configurations:

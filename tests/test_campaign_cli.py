@@ -1,5 +1,7 @@
 """CLI coverage for the campaign engine: the `campaign` command plus
-the --jobs/--cache-dir/--resume/--json flags on inject/harden/ballista."""
+the --jobs/--cache-dir/--json flags on inject/harden/ballista."""
+
+import pytest
 
 import json
 import re
@@ -60,12 +62,12 @@ class TestCampaignCommand:
         assert "no campaign manifest" in capsys.readouterr().err
 
     def test_resume_flag_continues_checkpoint(self, tmp_path, capsys):
+        # No flag: the outcome store alone resumes a campaign.
         cache = str(tmp_path / "cache")
         assert main(["campaign", "run", "abs", "--cache-dir", cache]) == 0
         capsys.readouterr()
         assert main(
-            ["campaign", "run", "abs", "labs",
-             "--cache-dir", cache, "--resume", "--json"]
+            ["campaign", "run", "abs", "labs", "--cache-dir", cache, "--json"]
         ) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["functions"]["abs"]["status"] == "cached"
@@ -79,14 +81,14 @@ class TestCampaignCommand:
 
 
     def test_jobs_is_the_processes_fleet(self, tmp_path, capsys):
-        # --jobs N and --fleet processes --workers N are one mode: same
+        # --jobs N and --fleet processes --jobs N are one mode: same
         # label, same digests, and outcome stores byte-identical to a
         # serial run.
         functions = ["abs", "labs", "atoi"]
         runs = {
             "serial": [],
             "jobs": ["--jobs", "2"],
-            "fleet": ["--fleet", "processes", "--workers", "2"],
+            "fleet": ["--fleet", "processes", "--jobs", "2"],
         }
         docs, stores = {}, {}
         for label, flags in runs.items():
@@ -112,6 +114,27 @@ class TestCampaignCommand:
                    for doc in docs.values())
         assert len(stores["serial"]) == 3
         assert stores["jobs"] == stores["fleet"] == stores["serial"]
+
+
+class TestDuplicateNames:
+    """A function named twice is injected once, at either width."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_inject_prints_one_row(self, jobs, capsys):
+        assert main(["inject", "abs", "abs", "--jobs", jobs, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["function"] for row in rows] == ["abs"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_campaign_runs_once(self, jobs, tmp_path, capsys):
+        assert main(
+            ["campaign", "run", "abs", "abs", "--jobs", jobs,
+             "--cache-dir", str(tmp_path), "--json"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["functions"]) == ["abs"]
+        assert doc["ran"] == 1
+        assert doc["failed"] == {}
 
 
 class TestHardenCampaignFlags:

@@ -1,5 +1,5 @@
-"""Tests for the campaign runner: caching, resume, ordering, failure
-policy, and the pipeline integration."""
+"""Tests for the campaign runner: caching, resume from the store,
+ordering, failure policy, and the pipeline integration."""
 
 import pytest
 
@@ -71,6 +71,10 @@ class TestCampaignRunner:
         with pytest.raises(KeyError, match="no_such_fn"):
             CampaignRunner(["abs", "no_such_fn"])
 
+    def test_repeated_names_run_once_in_first_order(self):
+        runner = CampaignRunner(["labs", "abs", "labs"])
+        assert [s.name for s in runner.specs] == ["labs", "abs"]
+
     def test_unknown_fleet_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown fleet mode"):
             CampaignRunner(["abs"], CampaignConfig(fleet="threads"))
@@ -99,18 +103,16 @@ class TestCampaignRunner:
     def test_resume_after_simulated_kill(self, tmp_path, baseline):
         # Simulate a campaign killed after two functions: the store
         # holds their outcomes, the manifest checkpoints an incomplete
-        # run. The resumed full campaign serves those from cache, runs
-        # only the remainder, and ends identical to an uninterrupted
-        # campaign.
+        # run. Re-running the full campaign over the same store resumes
+        # it: those two are served from cache, only the remainder runs,
+        # and it ends identical to an uninterrupted campaign.
         interrupted = CampaignRunner(
             FNS[:2], CampaignConfig(cache_dir=tmp_path)
         ).run()
         assert interrupted.ran == 2
         assert load_manifest(tmp_path) is not None
 
-        resumed = CampaignRunner(
-            FNS, CampaignConfig(cache_dir=tmp_path, resume=True)
-        ).run()
+        resumed = CampaignRunner(FNS, CampaignConfig(cache_dir=tmp_path)).run()
         statuses = {n: o.status for n, o in resumed.outcomes.items()}
         assert statuses == {"abs": "cached", "labs": "cached", "asctime": "ran"}
         assert resumed.reports == baseline.reports
@@ -204,7 +206,7 @@ class TestPipelineCampaign:
         functions = ["abs", "asctime"]
         serial = HealersPipeline(functions=functions).run()
         campaign = HealersPipeline(
-            functions=functions, jobs=2, cache_dir=tmp_path
+            functions=functions, config=CampaignConfig(jobs=2, cache_dir=tmp_path)
         ).run()
         assert list(campaign.declarations) == list(serial.declarations)
         assert {n: d.to_xml() for n, d in campaign.declarations.items()} == {
@@ -219,7 +221,7 @@ class TestPipelineCampaign:
             "repro.fleet.worker.execute_function", exploding_execute
         )
         hardened = HealersPipeline(
-            functions=["abs", "labs"], jobs=2
+            functions=["abs", "labs"], config=CampaignConfig(jobs=2)
         ).run()
         assert list(hardened.declarations) == ["abs"]
         assert set(hardened.failed_functions) == {"labs"}

@@ -71,6 +71,42 @@ class TestBallista:
         out = capsys.readouterr().out
         assert "full-auto" not in out
 
+    def test_unwrapped_only_skips_phase_one(self, monkeypatch, capsys):
+        import json
+
+        import repro.core
+
+        def no_pipeline(*args, **kwargs):
+            raise AssertionError("--unwrapped-only built a pipeline")
+
+        monkeypatch.setattr(repro.core, "HealersPipeline", no_pipeline)
+        assert main(["ballista", "strlen", "--unwrapped-only", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [row["configuration"] for row in doc["configurations"]] == [
+            "unwrapped"
+        ]
+        assert doc["tests"] > 0
+
+
+class TestUnknownFunctions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["inject", "abs", "no_such_fn"],
+            ["harden", "abs", "no_such_fn"],
+            ["ballista", "abs", "no_such_fn"],
+            ["ballista", "no_such_fn", "--unwrapped-only"],
+            ["campaign", "run", "abs", "no_such_fn"],
+        ],
+        ids=["inject", "harden", "ballista", "ballista-unwrapped", "campaign"],
+    )
+    def test_exits_2_naming_them(self, argv, tmp_path, capsys):
+        assert main([*argv, "--cache-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "unknown functions: no_such_fn\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBallistaRunSpec:
     """``--fault-models`` arms phase 1 however ``repro ballista`` is
@@ -93,8 +129,8 @@ class TestBallistaRunSpec:
         seen = []
 
         class StubPipeline:
-            def __init__(self, *args, run=RunSpec(), **kwargs):
-                seen.append(run)
+            def __init__(self, *args, config, **kwargs):
+                seen.append(config.run)
 
             def run(self):
                 raise Stop
@@ -106,8 +142,7 @@ class TestBallistaRunSpec:
         monkeypatch.setattr(repro.ballista, "BallistaHarness", no_harness)
         monkeypatch.setattr(repro.campaign, "DEFAULT_CAMPAIGN_DIR", tmp_path)
         with pytest.raises(Stop):
-            main(["ballista", *argv, "--unwrapped-only",
-                  "--fault-models", "callback,format"])
+            main(["ballista", *argv, "--fault-models", "callback,format"])
         assert seen == [RunSpec.parse("callback,format")]
 
 

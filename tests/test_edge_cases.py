@@ -74,19 +74,26 @@ class TestOutcomeStoreKeying:
         """The store is keyed by content: arming a fault model moves
         the digest, so phase 1 re-runs instead of serving the unarmed
         outcome."""
-        from repro.campaign import OutcomeStore
+        from repro.campaign import CampaignConfig, OutcomeStore
         from repro.injector import RunSpec
 
-        HealersPipeline(functions=["abs"], cache_dir=tmp_path).run()
         HealersPipeline(
-            functions=["abs"], cache_dir=tmp_path,
-            run=RunSpec.parse("callback"),
+            functions=["abs"], config=CampaignConfig(cache_dir=tmp_path)
+        ).run()
+        HealersPipeline(
+            functions=["abs"],
+            config=CampaignConfig(
+                cache_dir=tmp_path, run=RunSpec.parse("callback")
+            ),
         ).run()
         assert len(OutcomeStore(tmp_path).entries()) == 2
 
     def test_store_subset_filtering(self, tmp_path):
-        HealersPipeline(functions=["asctime", "abs"], cache_dir=tmp_path).run()
-        subset = HealersPipeline(functions=["abs"], cache_dir=tmp_path).run()
+        from repro.campaign import CampaignConfig
+
+        config = CampaignConfig(cache_dir=tmp_path)
+        HealersPipeline(functions=["asctime", "abs"], config=config).run()
+        subset = HealersPipeline(functions=["abs"], config=config).run()
         assert set(subset.declarations) == {"abs"}
 
 

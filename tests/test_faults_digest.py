@@ -128,7 +128,7 @@ class TestAcceptance:
         serial = run_campaign(tmp_path, "serial", fault_models=models)
         fleet = run_campaign(
             tmp_path, "fleet", fault_models=models,
-            jobs=2, fleet="processes", workers=2,
+            jobs=2, fleet="processes",
         )
         plain = run_campaign(tmp_path, "nofaults")
         assert fleet.fleet_mode == "processes"

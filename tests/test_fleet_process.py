@@ -155,7 +155,7 @@ class TestCampaignIntegration:
         names = ["abs", "labs", "atoi"]
         serial = CampaignRunner(names, CampaignConfig()).run()
         fleet = CampaignRunner(
-            names, CampaignConfig(fleet="processes", workers=2)
+            names, CampaignConfig(fleet="processes", jobs=2)
         ).run()
         assert fleet.failed == {}
         assert list(fleet.reports) == names

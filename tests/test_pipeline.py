@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign import CampaignConfig
 from repro.core import HealersPipeline, harden
 from repro.core.cache import load_declarations, save_declarations
 from repro.libc import standard_runtime
@@ -68,18 +69,20 @@ class TestCache:
         )
 
     def test_warm_store_serves_pipeline(self, hardened, tmp_path):
-        cold = HealersPipeline(functions=["asctime"], cache_dir=tmp_path).run()
-        warm = HealersPipeline(functions=["asctime"], cache_dir=tmp_path).run()
+        config = CampaignConfig(cache_dir=tmp_path)
+        cold = HealersPipeline(functions=["asctime"], config=config).run()
+        warm = HealersPipeline(functions=["asctime"], config=config).run()
         assert warm.declarations["asctime"] == hardened.declarations["asctime"]
         assert cold.declarations == warm.declarations
 
     def test_store_extends_with_new_functions(self, tmp_path):
         from repro.campaign import OutcomeStore
 
-        HealersPipeline(functions=["abs"], cache_dir=tmp_path).run()
+        config = CampaignConfig(cache_dir=tmp_path)
+        HealersPipeline(functions=["abs"], config=config).run()
         assert len(OutcomeStore(tmp_path).entries()) == 1
         result = HealersPipeline(
-            functions=["abs", "strlen"], cache_dir=tmp_path
+            functions=["abs", "strlen"], config=config
         ).run()
         assert list(result.declarations) == ["abs", "strlen"]
         assert len(OutcomeStore(tmp_path).entries()) == 2
