@@ -63,9 +63,7 @@ def test_campaign_scaling(tmp_path):
 
     cache_dir = tmp_path / "campaign-cache"
     processes, process_seconds = _timed_campaign(
-        CampaignConfig(
-            fleet="processes", jobs=PARALLEL_JOBS, cache_dir=cache_dir
-        )
+        CampaignConfig(jobs=PARALLEL_JOBS, cache_dir=cache_dir)
     )
     assert processes.ran == len(BENCH_FUNCTIONS)
     assert processes.failed == {}
@@ -75,18 +73,14 @@ def test_campaign_scaling(tmp_path):
     assert processes.reports == serial.reports
 
     warm, warm_seconds = _timed_campaign(
-        CampaignConfig(
-            fleet="processes", jobs=PARALLEL_JOBS, cache_dir=cache_dir
-        )
+        CampaignConfig(jobs=PARALLEL_JOBS, cache_dir=cache_dir)
     )
     assert warm.cache_hits == len(BENCH_FUNCTIONS)
     assert warm.ran == 0
     assert warm.reports == serial.reports
 
     cores = os.cpu_count() or 1
-    process_jobs = effective_jobs(
-        PARALLEL_JOBS, len(BENCH_FUNCTIONS), "processes"
-    )
+    process_jobs = effective_jobs(PARALLEL_JOBS, len(BENCH_FUNCTIONS))
     process_speedup = (
         serial_seconds / process_seconds if process_seconds else 0.0
     )
@@ -125,7 +119,7 @@ def test_campaign_scaling(tmp_path):
     assert warm_seconds < serial_seconds, "warm cache slower than injection"
     if cores >= PARALLEL_JOBS:
         assert process_speedup >= MIN_SPEEDUP, (
-            f"--fleet processes --jobs {PARALLEL_JOBS} gave "
+            f"--jobs {PARALLEL_JOBS} gave "
             f"{process_speedup:.2f}x (serial {serial_seconds:.1f}s vs "
             f"process fleet {process_seconds:.1f}s); bar is "
             f"{MIN_SPEEDUP:.1f}x"

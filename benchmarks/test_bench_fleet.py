@@ -4,9 +4,10 @@ and the process-mode speedup bar.
 Four experiments, all archived in ``BENCH_fleet.json``:
 
 1. **Baseline** — a 5-function campaign runs serial, on the process
-   fleet, and on the remote fleet (self-hosted service daemon, local
-   workers over the v1 protocol).  Every transport must reproduce the
-   serial reports bit-identically, in catalog order.
+   fleet, and on the remote fleet (attached to a running service
+   daemon whose workers lease its shards over the v1 protocol).  Every
+   transport must reproduce the serial reports bit-identically, in
+   catalog order.
 2. **Chaos** — the same campaign with ``REPRO_FLEET_CHAOS=kill-after:1``:
    every worker SIGKILLs itself after one completed function.  The
    campaign must still finish bit-identically and without a failed
@@ -29,6 +30,8 @@ from pathlib import Path
 from repro.campaign import CampaignConfig, CampaignRunner
 from repro.obs import export_bench_json
 from repro.obs.telemetry import Telemetry
+from repro.service import ServiceConfig, serve_in_thread
+from tests.fleet_workers import run_attached
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
 
@@ -74,19 +77,27 @@ def test_fleet_bench(tmp_path, monkeypatch):
 
     processes, process_seconds = _timed(
         BASELINE_FUNCTIONS,
-        CampaignConfig(
-            fleet="processes", jobs=2, cache_dir=tmp_path / "proc"
-        ),
+        CampaignConfig(jobs=2, cache_dir=tmp_path / "proc"),
     )
     _assert_identical(processes, serial, BASELINE_FUNCTIONS)
 
-    remote, remote_seconds = _timed(
-        BASELINE_FUNCTIONS,
-        CampaignConfig(
-            fleet="remote", jobs=2, cache_dir=tmp_path / "remote"
-        ),
-    )
+    daemon = serve_in_thread(ServiceConfig(cache_dir=tmp_path / "daemon"))
+    try:
+        host, port = daemon.address
+        remote, remote_seconds = run_attached(
+            daemon.address,
+            lambda: _timed(
+                BASELINE_FUNCTIONS,
+                CampaignConfig(
+                    jobs=2, cache_dir=tmp_path / "remote",
+                    fleet_address=f"{host}:{port}",
+                ),
+            ),
+        )
+    finally:
+        daemon.stop()
     _assert_identical(remote, serial, BASELINE_FUNCTIONS)
+    assert remote.fleet_mode == "remote"
 
     # ------------------------------------------------------ chaos leg
     # Every worker kills itself (SIGKILL, no cleanup) after one
@@ -96,7 +107,7 @@ def test_fleet_bench(tmp_path, monkeypatch):
     chaos_telemetry = Telemetry()
     chaos, chaos_seconds = _timed(
         BASELINE_FUNCTIONS,
-        CampaignConfig(fleet="processes", jobs=2),
+        CampaignConfig(jobs=2),
         telemetry=chaos_telemetry,
     )
     monkeypatch.delenv(CHAOS_ENV)
@@ -117,9 +128,7 @@ def test_fleet_bench(tmp_path, monkeypatch):
     fleet_cache = tmp_path / "speedup"
     speedup_fleet, speedup_fleet_seconds = _timed(
         SPEEDUP_FUNCTIONS,
-        CampaignConfig(
-            fleet="processes", jobs=SPEEDUP_WORKERS, cache_dir=fleet_cache
-        ),
+        CampaignConfig(jobs=SPEEDUP_WORKERS, cache_dir=fleet_cache),
     )
     _assert_identical(speedup_fleet, speedup_serial, SPEEDUP_FUNCTIONS)
     speedup = (
@@ -131,9 +140,7 @@ def test_fleet_bench(tmp_path, monkeypatch):
     # ------------------------------------------------- warm cache leg
     warm, warm_seconds = _timed(
         SPEEDUP_FUNCTIONS,
-        CampaignConfig(
-            fleet="processes", jobs=SPEEDUP_WORKERS, cache_dir=fleet_cache
-        ),
+        CampaignConfig(jobs=SPEEDUP_WORKERS, cache_dir=fleet_cache),
     )
     assert warm.cache_hits == len(SPEEDUP_FUNCTIONS)
     assert warm.ran == 0

@@ -8,14 +8,15 @@ managed campaign:
 2. **cache** — serve unchanged functions from the
    :class:`~repro.campaign.store.OutcomeStore` without touching the
    sandbox;
-3. **inject** — run the misses: in this process for a width of one
-   (``serial``: each report goes straight to the bookkeeping, and is
-   encoded only when a store will keep it; a raising function fails
-   alone), else through :func:`run_fleet` on the
-   :mod:`~repro.campaign.scheduler` pool (the ``processes`` mode:
-   per-task timeout, heartbeats, bounded retry; a crashed or hung
-   worker fails only its function and the campaign continues) or the
-   ``remote`` fleet;
+3. **inject** — run the misses: with a ``fleet_address`` as shards
+   of an already-running daemon's broker (``remote``, see
+   :mod:`repro.fleet.remote`); else in this process for a width of
+   one (``serial``: each report goes straight to the bookkeeping, and
+   is encoded only when a store will keep it; a raising function
+   fails alone); else on the :mod:`~repro.campaign.scheduler` pool
+   (``processes``: per-task timeout, heartbeats, bounded retry; a
+   crashed or hung worker fails only its function and the campaign
+   continues);
 4. **finalize** — assemble reports in catalog order (independent of
    worker completion order), persist fresh outcomes to the store, and
    checkpoint the manifest.
@@ -39,14 +40,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.campaign.digest import CACHE_SCHEMA, campaign_id, outcome_digest
-from repro.campaign.scheduler import (
-    DEFAULT_TASK_RETRIES,
-    DEFAULT_TASK_TIMEOUT,
-    TaskResult,
-    clamp_jobs,
-    effective_jobs,
-    run_tasks,
-)
+from repro.campaign.scheduler import TaskResult, effective_jobs, run_tasks
 from repro.campaign.store import OutcomeStore, report_from_payload, report_to_payload
 from repro.cdecl import DeclarationParser, typedef_table
 from repro.injector import FaultInjector, InjectionReport, RunSpec
@@ -75,12 +69,8 @@ class CampaignConfig:
     #: When set, the finished campaign is ingested into this results
     #: ledger (``repro.obs.ledger``) at finalize time.
     ledger: Optional[Path] = None
-    #: Fleet execution mode: ``processes`` runs in this process for a
-    #: width of 1 and on the supervised pool otherwise; ``remote``
-    #: hands shards to a service daemon's workers.
-    fleet: str = "processes"
-    #: ``HOST:PORT`` of an already-running daemon for the remote fleet;
-    #: None self-hosts a loopback daemon for the campaign's duration.
+    #: ``HOST:PORT`` of an already-running daemon: when set, its
+    #: registered workers run the inject phase (the remote fleet).
     fleet_address: Optional[str] = None
 
 
@@ -129,65 +119,6 @@ class CampaignResult:
         }
 
 
-def _check_fleet_mode(mode: str) -> None:
-    from repro.fleet.wire import FLEET_MODES
-
-    if mode not in FLEET_MODES:
-        raise ValueError(
-            f"unknown fleet mode {mode!r} (choose from {FLEET_MODES})"
-        )
-
-
-def run_fleet(
-    mode: str,
-    names: Sequence[str],
-    digests: dict[str, str],
-    *,
-    campaign: str,
-    workers: int,
-    run: RunSpec,
-    timeout: Optional[float] = DEFAULT_TASK_TIMEOUT,
-    task_retries: int = DEFAULT_TASK_RETRIES,
-    telemetry=NULL_TELEMETRY,
-    on_result: Optional[Callable[[TaskResult], None]] = None,
-    cache_dir=None,
-    address: Optional[str] = None,
-) -> dict[str, TaskResult]:
-    """Execute the named functions in one fleet mode and return
-    ``{name: TaskResult}`` (merge order is the caller's — the campaign
-    runner assembles catalog order).
-
-    ``processes`` runs every function through
-    :func:`repro.fleet.worker.run_function` on the supervised pool of
-    :func:`run_tasks` (clamped to the host's cores, never below one
-    worker).  ``remote`` hands wire-format shards to a service
-    daemon's broker.  The campaign runner's width-1 ``serial`` mode
-    does not come here: it injects in its own process.
-    """
-    _check_fleet_mode(mode)
-    if mode == "remote":
-        from repro.fleet.remote import run_remote_fleet
-
-        return run_remote_fleet(
-            names, digests, campaign=campaign,
-            workers=clamp_jobs(workers, len(names), "remote", telemetry),
-            run=run, timeout=timeout,
-            task_retries=task_retries, telemetry=telemetry,
-            on_result=on_result, cache_dir=cache_dir, address=address,
-        )
-    from repro.fleet.worker import run_function
-
-    return run_tasks(
-        names,
-        functools.partial(run_function, digests=dict(digests), run=run),
-        jobs=workers,
-        timeout=timeout,
-        task_retries=task_retries,
-        telemetry=telemetry,
-        on_result=on_result,
-    )
-
-
 class CampaignRunner:
     """Schedules, caches, and checkpoints one injection campaign."""
 
@@ -210,7 +141,6 @@ class CampaignRunner:
                 raise KeyError(f"unknown functions: {', '.join(unknown)}")
             # A name given twice is one function (first position kept).
             self.specs = [BY_NAME[n] for n in dict.fromkeys(functions)]
-        _check_fleet_mode(config.fleet)
         self.config = config
         self.telemetry = telemetry
         self.progress = progress
@@ -261,11 +191,17 @@ class CampaignRunner:
 
         # --------------------------------------------------- inject phase
         started = time.perf_counter()
-        if config.fleet == "remote":
+        if config.fleet_address is not None:
             fleet_mode = "remote"
+            # Leased shards run on the daemon's workers, so the local
+            # core count does not bound the width; the task count does.
+            workers = max(1, min(config.jobs, len(names)))
+        elif config.jobs > 1:
+            fleet_mode = "processes"
+            workers = effective_jobs(config.jobs, len(names))
         else:
-            fleet_mode = "processes" if config.jobs > 1 else "serial"
-        workers = effective_jobs(config.jobs, len(names), config.fleet)
+            fleet_mode = "serial"
+            workers = 1
 
         def record(
             outcome: FunctionOutcome,
@@ -325,18 +261,26 @@ class CampaignRunner:
                 jobs=config.jobs,
                 fleet=fleet_mode,
             ):
-                run_fleet(
-                    config.fleet,
-                    misses,
-                    digests,
-                    campaign=ident,
-                    workers=config.jobs,
-                    run=config.run,
-                    telemetry=telemetry,
-                    on_result=on_result,
-                    cache_dir=config.cache_dir,
-                    address=config.fleet_address,
-                )
+                if fleet_mode == "remote":
+                    from repro.fleet.remote import run_remote_fleet
+
+                    run_remote_fleet(
+                        config.fleet_address, misses, digests,
+                        campaign=ident, shards=workers, run=config.run,
+                        telemetry=telemetry, on_result=on_result,
+                    )
+                else:
+                    from repro.fleet.worker import run_function
+
+                    run_tasks(
+                        misses,
+                        functools.partial(
+                            run_function, digests=digests, run=config.run
+                        ),
+                        jobs=config.jobs,
+                        telemetry=telemetry,
+                        on_result=on_result,
+                    )
         timings["inject"] = time.perf_counter() - started
 
         # -------------------------------------------------- finalize phase
@@ -437,7 +381,9 @@ class CampaignRunner:
             "campaign": ident,
             "jobs": self.config.jobs,
             "effective_jobs": workers,
-            "fleet": self.config.fleet,
+            "fleet": (
+                "processes" if self.config.fleet_address is None else "remote"
+            ),
             "fault_models": list(self.config.run.fault_models),
             "functions": [
                 {

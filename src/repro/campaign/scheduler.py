@@ -3,9 +3,9 @@
 The scheduler turns a list of task names into a set of
 :class:`TaskResult`\\ s by fanning out over a ``multiprocessing`` pool
 it supervises itself.  Every local parallel path runs here:
-``campaign run --jobs N``, ``--fleet processes`` and the sharded
-Ballista sweep.  A campaign of width one never comes here: the
-campaign runner injects it in its own process.
+``campaign run --jobs N`` and the sharded Ballista sweep.  A campaign
+of width one never comes here: the campaign runner injects it in its
+own process.
 
 * **Deterministic sharding** — :func:`plan_shards` stripes the task
   list round-robin; dispatch order interleaves the shards so early
@@ -123,48 +123,30 @@ def dispatch_order(names: Sequence[str], jobs: int) -> list[str]:
     return order
 
 
-def effective_jobs(
-    jobs: int, task_count: int | None = None, mode: str = "processes"
-) -> int:
-    """Worker count actually worth running for the given fleet mode.
-
-    ``processes`` (the supervised pool, whether reached by ``--jobs N``
-    or ``--fleet processes``): clamped to the host CPU count —
-    oversubscribing cores never speeds up CPU-bound injection work, it
-    only adds scheduling noise (a 4-worker pool on a 1-core host
-    benches *slower* than serial).
-
-    ``remote``: **not** CPU-clamped.  The coordinator's core count says
-    nothing about where leased shards execute.
-
-    Every mode is clamped to the task count when known (a worker with
-    no task to run is pure spawn cost), and benches record this value.
-    """
-    width = max(1, jobs)
-    if mode == "processes":
-        width = min(width, os.cpu_count() or 1)
+def effective_jobs(jobs: int, task_count: int | None = None) -> int:
+    """Pool width actually worth running: clamped to the host CPU count
+    — oversubscribing cores never speeds up CPU-bound injection work,
+    it only adds scheduling noise (a 4-worker pool on a 1-core host
+    benches *slower* than serial) — and to the task count when known
+    (a worker with no task to run is pure spawn cost).  Benches record
+    this value."""
+    width = min(max(1, jobs), os.cpu_count() or 1)
     if task_count is not None:
         width = max(1, min(width, task_count))
     return width
 
 
-def clamp_jobs(
-    jobs: int,
-    task_count: int,
-    mode: str = "processes",
-    telemetry=NULL_TELEMETRY,
-) -> int:
+def clamp_jobs(jobs: int, task_count: int, telemetry=NULL_TELEMETRY) -> int:
     """:func:`effective_jobs` plus the audit trail: whenever the clamp
     changes the requested width, a ``campaign.jobs_clamped`` event
-    records the decision — in every fleet mode, so a bench or operator
-    can always see why fewer workers ran than were asked for."""
-    width = effective_jobs(jobs, task_count, mode)
+    records the decision, so a bench or operator can always see why
+    fewer workers ran than were asked for."""
+    width = effective_jobs(jobs, task_count)
     if width != max(1, jobs):
         telemetry.event(
             "campaign.jobs_clamped",
             requested=jobs,
             effective=width,
-            mode=mode,
             task_count=task_count,
             cpu_count=os.cpu_count() or 1,
         )
@@ -306,7 +288,7 @@ def run_tasks(
     # Clamp the pool to the host's cores; a supervised pool is kept
     # even at width 1 so timeout policing and crash containment still
     # apply.
-    width = clamp_jobs(jobs, len(names), mode="processes", telemetry=telemetry)
+    width = clamp_jobs(jobs, len(names), telemetry=telemetry)
 
     def spawn() -> _WorkerSlot:
         receiver, sender = ctx.Pipe(duplex=False)

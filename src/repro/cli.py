@@ -7,9 +7,9 @@ Exposes the pipeline the way the real HEALERS tooling would be driven:
 * ``harden``             — run the pipeline and write the C artifacts
 * ``ballista``           — the Figure-6 robustness evaluation
 * ``campaign``           — managed campaigns: run / status / clean
-  (``run --fleet {processes,remote} --jobs N`` executes the inject
-  phase on the :mod:`repro.fleet` fabric; ``processes`` is the
-  default)
+  (``run --jobs N`` fans the inject phase out over the local process
+  pool; ``run --connect HOST:PORT`` hands it to the workers of a
+  running daemon, the :mod:`repro.fleet` remote fleet)
 * ``serve``              — the hardening-as-a-service daemon
 * ``query``              — one request against a running daemon
 * ``fleet``              — remote campaign workers (``fleet worker
@@ -138,7 +138,6 @@ def _campaign_config(args: argparse.Namespace, run, cache_dir=None):
         cache_dir=Path(cache_dir) if cache_dir else None,
         run=run,
         ledger=Path(ledger) if ledger else None,
-        fleet=getattr(args, "fleet", "processes"),
         fleet_address=getattr(args, "connect", None),
     )
 
@@ -282,8 +281,10 @@ def _cmd_ballista(args: argparse.Namespace) -> int:
             ("semi-auto", hardened.wrapper(semi_auto=True, telemetry=telemetry)),
         ]
     if args.functions:
+        # A name given twice is one function, as in phase 1.
         harness = BallistaHarness(
-            functions=[BY_NAME[n] for n in args.functions], telemetry=telemetry
+            functions=[BY_NAME[n] for n in dict.fromkeys(args.functions)],
+            telemetry=telemetry,
         )
     else:
         harness = BallistaHarness(total_target=11995, telemetry=telemetry)
@@ -341,6 +342,14 @@ def _campaign_run(args: argparse.Namespace, cache_dir: Path) -> int:
     run = _run_arg(args)
     if run is None:
         return 2
+    if args.connect is not None:
+        from repro.fleet.remote import parse_address
+
+        try:
+            parse_address(args.connect)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
     telemetry = _telemetry_for(args)
     progress = None
     if not args.json:
@@ -354,7 +363,13 @@ def _campaign_run(args: argparse.Namespace, cache_dir: Path) -> int:
         telemetry=telemetry,
         progress=progress,
     )
-    result = runner.run()
+    try:
+        result = runner.run()
+    except OSError as exc:
+        if args.connect is None:
+            raise
+        print(f"cannot reach {args.connect}: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(_campaign_summary(result), indent=2))
     else:
@@ -438,6 +453,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
+    from repro.fleet.broker import DEFAULT_LEASE_TTL
     from repro.service import HealersService, ServiceConfig
 
     config = ServiceConfig(
@@ -451,7 +467,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
         drain_seconds=args.drain_seconds,
         ledger=Path(args.ledger) if args.ledger else None,
-        lease_ttl=args.lease_ttl,
+        lease_ttl=(
+            DEFAULT_LEASE_TTL if args.lease_ttl is None else args.lease_ttl
+        ),
     )
 
     async def run() -> None:
@@ -602,6 +620,11 @@ def _cmd_bitflips(args: argparse.Namespace) -> int:
     from repro.injector import BitFlipCampaign, GOLDEN_CALLS
 
     functions = args.functions or sorted(GOLDEN_CALLS)
+    unknown = [n for n in functions if n not in GOLDEN_CALLS]
+    if unknown:
+        print(f"no golden call registered for: {', '.join(unknown)} "
+              f"(known: {', '.join(sorted(GOLDEN_CALLS))})", file=sys.stderr)
+        return 2
     hardened = HealersPipeline(functions=functions).run()
     for name in functions:
         campaign = BitFlipCampaign(name)
@@ -857,17 +880,12 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("functions", nargs="*",
                               help="functions (default: the 86-function set)")
     campaign_run.add_argument("--jobs", type=int, default=1, metavar="N",
-                              help="fleet worker count (1 injects in this "
-                                   "process under --fleet processes)")
-    campaign_run.add_argument("--fleet", choices=["processes", "remote"],
-                              default="processes",
-                              help="execute the inject phase on a fleet: "
-                                   "processes (the supervised local pool, "
-                                   "the default) or remote (workers lease "
-                                   "shards from a service daemon)")
+                              help="worker count: 1 injects in this process, "
+                                   "more run the local process pool (with "
+                                   "--connect: the shard count)")
     campaign_run.add_argument("--connect", metavar="HOST:PORT",
-                              help="submit to this running daemon instead of "
-                                   "self-hosting one (remote fleet only)")
+                              help="hand the inject phase to the workers of "
+                                   "this running daemon (the remote fleet)")
     campaign_run.add_argument("--cache-dir", metavar="DIR",
                               help="cache directory (default: "
                                    ".healers_cache/campaign)")
@@ -915,10 +933,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--ledger", metavar="DB",
                        help="results ledger (sqlite): enables the history "
                             "op and the shutdown traffic rollup")
-    serve.add_argument("--lease-ttl", type=float, default=30.0,
-                       help="fleet shard lease duration in seconds; a "
-                            "remote worker silent this long loses its work "
-                            "back to the queue")
+    serve.add_argument("--lease-ttl", type=float, metavar="SECONDS",
+                       help="fleet shard lease duration (default: the "
+                            "broker's DEFAULT_LEASE_TTL); a remote worker "
+                            "silent this long loses its work back to the "
+                            "queue")
 
     fleet = sub.add_parser(
         "fleet", help="remote campaign workers and fleet visibility"

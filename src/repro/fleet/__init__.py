@@ -1,37 +1,33 @@
 """repro.fleet — the process-isolated campaign fabric.
 
-A campaign's inject phase runs in one of three modes:
+A campaign's inject phase runs in this process at a width of one, and
+out of it in one of two placements:
 
-serial
-    In the campaign runner's own process (``jobs`` / ``workers`` of
-    1); a raising function fails alone, without retry or isolation.
-``processes``
+local pool (``--jobs N``, ``fleet_mode: "processes"``)
     The supervised pool of :func:`repro.campaign.scheduler.run_tasks`
     — heartbeats, per-task deadlines, retry on worker death — running
     each function through :func:`repro.fleet.worker.run_function`.
-    ``--jobs N`` is this mode with ``N`` workers.
-``remote``
+remote fleet (``--connect HOST:PORT``, ``fleet_mode: "remote"``)
     Workers anywhere, leasing wire-format shards
-    (:mod:`repro.fleet.wire`) from a service daemon's broker over the
-    v1 protocol, results streaming into the shared content-addressed
-    outcome store (:mod:`repro.fleet.remote`).
+    (:mod:`repro.fleet.wire`) from an already-running service daemon's
+    broker over the v1 protocol, results streaming into the shared
+    content-addressed outcome store (:mod:`repro.fleet.remote`).
 
-No code under ``src/`` draws from the global ``random`` module, so
-campaign output is bit-identical to serial execution no matter the
-transport, the worker count, or how many workers died along the way.
-:func:`run_fleet` (defined next to the campaign runner, which calls
-it) is the single entry point of the two out-of-process modes.
+:class:`~repro.campaign.runner.CampaignRunner` picks the placement:
+a ``fleet_address`` selects the remote fleet, else ``jobs`` above one
+the pool.  No code under ``src/`` draws from the global ``random``
+module, so campaign output is bit-identical to serial execution no
+matter the transport, the worker count, or how many workers died
+along the way.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.campaign.runner import run_fleet
 from repro.injector import RunSpec
 from repro.campaign.scheduler import plan_shards
 from repro.fleet.wire import (
-    FLEET_MODES,
     WIRE_VERSION,
     FingerprintMismatch,
     FunctionResult,
@@ -42,7 +38,6 @@ from repro.fleet.wire import (
 )
 
 __all__ = [
-    "FLEET_MODES",
     "WIRE_VERSION",
     "FingerprintMismatch",
     "FunctionResult",
@@ -50,7 +45,6 @@ __all__ = [
     "WireError",
     "build_shards",
     "fleet_fingerprints",
-    "run_fleet",
     "verify_fingerprints",
 ]
 

@@ -57,9 +57,6 @@ from repro.typelattice import LATTICE_VERSION
 #: v5: shards lost the campaign ``seed``.
 WIRE_VERSION = 5
 
-#: The fleet modes ``campaign run --fleet`` accepts.
-FLEET_MODES = ("processes", "remote")
-
 
 class WireError(ValueError):
     """A shard or result document this code version cannot accept."""

@@ -145,9 +145,9 @@ def remote_worker_main(
     """Connect to a hardening daemon, lease shards, stream results.
 
     ``exit_when_idle`` makes the worker return once the broker has no
-    queued work *and* no campaign in flight — the mode a
-    :class:`~repro.fleet.remote.RemoteFleet`-spawned worker runs in.
-    A standalone ``repro fleet worker`` keeps polling until killed.
+    queued work *and* no campaign in flight (so one started before any
+    campaign is submitted returns at once); otherwise it keeps polling
+    until killed.
     Returns a process exit code.
     """
     from repro.service.client import ServiceClient
@@ -156,7 +156,7 @@ def remote_worker_main(
     client = ServiceClient(host, port, retries=4)
     registration = client.worker_register(worker_name, fleet_fingerprints())
     worker_id = str(registration["worker_id"])
-    lease_ttl = float(registration.get("lease_ttl", 30.0))
+    lease_ttl = float(registration["lease_ttl"])
 
     stop_heartbeat = threading.Event()
 

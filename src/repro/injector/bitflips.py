@@ -149,13 +149,7 @@ GOLDEN_CALLS: dict[str, GoldenCall] = {
 class BitFlipCampaign:
     """Runs a bit-flip sweep for one function."""
 
-    def __init__(
-        self,
-        function: str,
-        runtime_factory: Callable[[], LibcRuntime] = standard_runtime,
-        memory_stride: int = 8,
-        step_budget: int = 1_000_000,
-    ) -> None:
+    def __init__(self, function: str) -> None:
         if function not in GOLDEN_CALLS:
             raise KeyError(
                 f"no golden call registered for {function!r}; "
@@ -163,24 +157,17 @@ class BitFlipCampaign:
             )
         self.function = function
         self.golden = GOLDEN_CALLS[function]
-        self.runtime_factory = runtime_factory
-        self.memory_stride = memory_stride
-        self.sandbox = Sandbox(step_budget=step_budget)
-
-    def _apply_flip(
-        self, runtime: LibcRuntime, args: list[int], spec: FlipSpec
-    ) -> list[int]:
-        return apply_flip(runtime, args, spec)
+        self.sandbox = Sandbox()
 
     def run(
         self,
         wrapper: Optional[WrapperLibrary] = None,
         configuration: str = "unwrapped",
     ) -> BitFlipReport:
-        base = self.runtime_factory()
+        base = standard_runtime()
         probe_args, block_sizes = self.golden(base.fork())
         report = BitFlipReport(self.function, configuration)
-        for spec in enumerate_flips(probe_args, block_sizes, self.memory_stride):
+        for spec in enumerate_flips(probe_args, block_sizes):
             runtime = base.fork()
             args, _ = self.golden(runtime)
             if wrapper is not None:
@@ -192,7 +179,7 @@ class BitFlipCampaign:
                     wrapper.state.seed_file(args[0])
                 if self.function == "closedir":
                     wrapper.state.seed_dir(args[0])
-            flipped = self._apply_flip(runtime, args, spec)
+            flipped = apply_flip(runtime, args, spec)
             if wrapper is not None:
                 outcome = wrapper.call(self.function, flipped, runtime)
             else:

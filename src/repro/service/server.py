@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from repro.fleet.broker import DEFAULT_LEASE_TTL
 from repro.obs import Telemetry
 from repro.service.admission import Overloaded
 from repro.service.handlers import CONTROL_OPS, HANDLERS, ServiceState
@@ -70,7 +71,7 @@ class ServiceConfig:
     drain_seconds: float = DEFAULT_DRAIN_SECONDS
     ledger: Optional[Path] = None        # results ledger (history op +
                                          # rollup on graceful shutdown)
-    lease_ttl: float = 30.0              # fleet shard lease duration
+    lease_ttl: float = DEFAULT_LEASE_TTL  # fleet shard lease duration
 
 
 class HealersService:

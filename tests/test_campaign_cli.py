@@ -81,15 +81,10 @@ class TestCampaignCommand:
 
 
     def test_jobs_is_the_processes_fleet(self, tmp_path, capsys):
-        # --jobs N and --fleet processes --jobs N are one mode: same
-        # label, same digests, and outcome stores byte-identical to a
-        # serial run.
+        # --jobs N runs the process pool: its own label, the same
+        # digests, and an outcome store byte-identical to a serial run.
         functions = ["abs", "labs", "atoi"]
-        runs = {
-            "serial": [],
-            "jobs": ["--jobs", "2"],
-            "fleet": ["--fleet", "processes", "--jobs", "2"],
-        }
+        runs = {"serial": [], "jobs": ["--jobs", "2"]}
         docs, stores = {}, {}
         for label, flags in runs.items():
             cache = tmp_path / label
@@ -104,16 +99,15 @@ class TestCampaignCommand:
             }
         assert docs["serial"]["fleet_mode"] == "serial"
         assert docs["jobs"]["fleet_mode"] == "processes"
-        assert docs["fleet"]["fleet_mode"] == "processes"
         digests = {
             label: {n: f["digest"] for n, f in doc["functions"].items()}
             for label, doc in docs.items()
         }
-        assert digests["jobs"] == digests["fleet"] == digests["serial"]
+        assert digests["jobs"] == digests["serial"]
         assert all(doc["ran"] == 3 and doc["failed"] == {}
                    for doc in docs.values())
         assert len(stores["serial"]) == 3
-        assert stores["jobs"] == stores["fleet"] == stores["serial"]
+        assert stores["jobs"] == stores["serial"]
 
 
 class TestDuplicateNames:

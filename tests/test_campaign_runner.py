@@ -75,10 +75,6 @@ class TestCampaignRunner:
         runner = CampaignRunner(["labs", "abs", "labs"])
         assert [s.name for s in runner.specs] == ["labs", "abs"]
 
-    def test_unknown_fleet_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown fleet mode"):
-            CampaignRunner(["abs"], CampaignConfig(fleet="threads"))
-
     def test_default_function_set(self):
         runner = CampaignRunner()
         assert [s.name for s in runner.specs] == [s.name for s in BALLISTA_SET]

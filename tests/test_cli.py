@@ -87,6 +87,16 @@ class TestBallista:
         ]
         assert doc["tests"] > 0
 
+    def test_repeated_names_count_once(self, capsys):
+        import json
+
+        counts = []
+        for argv in (["strlen"], ["strlen", "strlen"]):
+            assert main(["ballista", *argv, "--unwrapped-only", "--json"]) == 0
+            counts.append(json.loads(capsys.readouterr().out)["tests"])
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
+
 
 class TestUnknownFunctions:
     @pytest.mark.parametrize(
@@ -151,6 +161,21 @@ class TestBitflips:
         assert main(["bitflips", "strlen"]) == 0
         out = capsys.readouterr().out
         assert out.count("'function': 'strlen'") == 3  # three configurations
+
+    @pytest.mark.parametrize("name", ["no_such_fn", "abs"],
+                             ids=["unknown", "no-golden-call"])
+    def test_exits_2_before_injecting(self, name, monkeypatch, capsys):
+        import repro.core
+
+        def no_pipeline(*args, **kwargs):
+            raise AssertionError("bitflips injected before checking names")
+
+        monkeypatch.setattr(repro.core, "HealersPipeline", no_pipeline)
+        assert main(["bitflips", "strlen", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"no golden call registered for: {name} ")
+        assert "strlen" in captured.err  # the known names
+        assert captured.out == ""
 
 
 class TestDiff:

@@ -119,17 +119,14 @@ class TestCampaignHonesty:
 
 @needs_fork
 class TestAcceptance:
-    """campaign run --fault-models resource,signal --fleet processes
+    """campaign run --fault-models resource,signal --jobs 2
     is bit-identical to the serial run and digests differ from the
     no-faults campaign (ISSUE acceptance criterion)."""
 
     def test_process_fleet_is_bit_identical_to_serial(self, tmp_path):
         models = ("resource", "signal")
         serial = run_campaign(tmp_path, "serial", fault_models=models)
-        fleet = run_campaign(
-            tmp_path, "fleet", fault_models=models,
-            jobs=2, fleet="processes",
-        )
+        fleet = run_campaign(tmp_path, "fleet", fault_models=models, jobs=2)
         plain = run_campaign(tmp_path, "nofaults")
         assert fleet.fleet_mode == "processes"
         assert digests_of(fleet) == digests_of(serial)

@@ -1,15 +1,15 @@
-"""Tests for the ``processes`` fleet mode (the supervised pool):
-bit-identical merges, worker death (kill -9) recovery, deadlines, and
-retry budgets."""
+"""Tests for the ``processes`` fleet mode (the supervised pool running
+:func:`repro.fleet.worker.run_function`): bit-identical merges, worker
+death (kill -9) recovery, deadlines, and retry budgets."""
 
+import functools
 import multiprocessing as mp
 import time
 
 import pytest
 
-from repro.campaign import CampaignConfig, CampaignRunner
-from repro.fleet import run_fleet
-from repro.fleet.worker import CHAOS_ENV, execute_function
+from repro.campaign import CampaignConfig, CampaignRunner, run_tasks
+from repro.fleet.worker import CHAOS_ENV, execute_function, run_function
 from repro.fleet.wire import FunctionResult
 from repro.injector import RunSpec
 from repro.obs.telemetry import Telemetry
@@ -35,18 +35,13 @@ def serial_payloads():
     }
 
 
-def run_fleet_payloads(telemetry=None, **overrides):
-    options = dict(
-        campaign="test-fleet",
-        workers=2,
-        run=RUN,
-        timeout=60.0,
-        task_retries=1,
-    )
+def run_fleet_payloads(names=FUNCTIONS, telemetry=None, **overrides):
+    options = dict(jobs=2, timeout=60.0, task_retries=1)
     options.update(overrides)
     if telemetry is not None:
         options["telemetry"] = telemetry
-    return run_fleet("processes", FUNCTIONS, DIGESTS, **options)
+    worker = functools.partial(run_function, digests=DIGESTS, run=RUN)
+    return run_tasks(names, worker, **options)
 
 
 class TestBitIdentical:
@@ -59,20 +54,11 @@ class TestBitIdentical:
             assert result.payload == serial_payloads[name]
 
     def test_worker_count_does_not_change_results(self, serial_payloads):
-        results = run_fleet_payloads(workers=3)
+        results = run_fleet_payloads(jobs=3)
         assert {n: r.payload for n, r in results.items()} == serial_payloads
 
     def test_empty_campaign(self):
-        assert run_fleet(
-            "processes", [], {}, campaign="empty", workers=2, run=RUN,
-        ) == {}
-
-    def test_unknown_mode_refused(self):
-        with pytest.raises(ValueError, match="unknown fleet mode"):
-            run_fleet(
-                "hovercraft", FUNCTIONS, DIGESTS, campaign="x", workers=1,
-                run=RUN, timeout=None, task_retries=0,
-            )
+        assert run_fleet_payloads(names=[]) == {}
 
 
 class TestWorkerDeath:
@@ -155,7 +141,7 @@ class TestCampaignIntegration:
         names = ["abs", "labs", "atoi"]
         serial = CampaignRunner(names, CampaignConfig()).run()
         fleet = CampaignRunner(
-            names, CampaignConfig(fleet="processes", jobs=2)
+            names, CampaignConfig(jobs=2)
         ).run()
         assert fleet.failed == {}
         assert list(fleet.reports) == names

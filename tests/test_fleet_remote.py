@@ -1,16 +1,22 @@
 """Tests for the remote fleet: worker ops over the v1 protocol, lease
-expiry reassignment end to end, fleet-wide cache dedup, and the
-self-hosted `run_remote_fleet` path."""
+expiry reassignment end to end, fleet-wide cache dedup, and campaigns
+attached to a running daemon (`CampaignConfig.fleet_address`, `campaign
+run --connect`)."""
 
+import json
+import socket
 import time
 
 import pytest
 
+from repro.campaign import CampaignConfig, CampaignRunner
+from repro.cli import main
 from repro.fleet import ShardSpec, fleet_fingerprints
-from repro.fleet.remote import parse_address, run_remote_fleet
+from repro.fleet.remote import parse_address
 from repro.fleet.worker import execute_function
 from repro.injector import RunSpec
 from repro.service import ServiceClient, ServiceConfig, ServiceError, serve_in_thread
+from tests.fleet_workers import run_attached
 
 FUNCTIONS = ["abs", "labs", "atoi"]
 RUN = RunSpec(max_vectors=24)
@@ -178,23 +184,72 @@ class TestRunRemoteFleet:
         with pytest.raises(ValueError):
             parse_address("no-port")
 
-    def test_self_hosted_fleet_bit_identical(self, tmp_path):
-        digests = {n: f"digest-e2e-{n}" for n in FUNCTIONS}
-        serial = {
-            name: execute_function(
-                name, digests[name], RUN
-            ).payload
-            for name in FUNCTIONS
-        }
-        results = run_remote_fleet(
-            FUNCTIONS, digests,
-            campaign="remote-e2e",
-            workers=2,
-            run=RUN,
-            task_retries=1,
-            cache_dir=tmp_path / "store",
+    def test_attached_fleet_bit_identical(self, daemon):
+        serial = CampaignRunner(FUNCTIONS, CampaignConfig()).run()
+        host, port = daemon.address
+        config = CampaignConfig(jobs=2, fleet_address=f"{host}:{port}")
+        remote = run_attached(
+            daemon.address, CampaignRunner(FUNCTIONS, config).run
         )
-        assert set(results) == set(FUNCTIONS)
-        for name, result in results.items():
-            assert result.ok, result.error
-            assert result.payload == serial[name]
+        assert remote.failed == {}
+        assert remote.fleet_mode == "remote"
+        assert remote.workers == 2
+        assert list(remote.reports) == FUNCTIONS
+        assert remote.reports == serial.reports
+
+
+@pytest.fixture()
+def daemon(tmp_path):
+    """A daemon of its own with an outcome store, so every function of
+    the campaign reaches a worker instead of the store."""
+    handle = serve_in_thread(ServiceConfig(port=0, cache_dir=tmp_path / "daemon"))
+    yield handle
+    handle.stop()
+
+
+def outcome_store(cache):
+    return {p.name: p.read_bytes() for p in (cache / "outcomes").glob("*.json")}
+
+
+class TestConnectCli:
+    def test_connect_matches_serial(self, daemon, tmp_path, capsys):
+        def campaign(label, *flags):
+            return ["campaign", "run", *FUNCTIONS, *flags,
+                    "--cache-dir", str(tmp_path / label), "--json"]
+
+        assert main(campaign("serial")) == 0
+        serial = json.loads(capsys.readouterr().out)
+        host, port = daemon.address
+        argv = campaign("remote", "--jobs", "2", "--connect", f"{host}:{port}")
+        assert run_attached(daemon.address, lambda: main(argv)) == 0
+        remote = json.loads(capsys.readouterr().out)
+
+        assert remote["fleet_mode"] == "remote"
+        assert remote["ran"] == len(FUNCTIONS)
+        assert remote["failed"] == {}
+        assert {n: f["digest"] for n, f in remote["functions"].items()} == {
+            n: f["digest"] for n, f in serial["functions"].items()
+        }
+        store = outcome_store(tmp_path / "serial")
+        assert len(store) == len(FUNCTIONS)
+        assert outcome_store(tmp_path / "remote") == store
+        manifest = json.loads((tmp_path / "remote" / "manifest.json").read_text())
+        assert manifest["fleet"] == "remote"
+
+    def test_unreachable_connect_exits_2(self, tmp_path, capsys):
+        # A bound socket that never listens refuses every connection.
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            address = "127.0.0.1:%d" % closed.getsockname()[1]
+            assert main(
+                ["campaign", "run", "abs", "--connect", address,
+                 "--cache-dir", str(tmp_path)]
+            ) == 2
+        assert f"cannot reach {address}" in capsys.readouterr().err
+
+    def test_malformed_connect_exits_2(self, tmp_path, capsys):
+        assert main(
+            ["campaign", "run", "abs", "--connect", "no-port",
+             "--cache-dir", str(tmp_path)]
+        ) == 2
+        assert "HOST:PORT" in capsys.readouterr().err

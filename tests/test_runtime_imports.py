@@ -32,3 +32,22 @@ def test_cli_and_pipeline_import_only_the_standard_library():
         check=True,
     )
     assert probe.stdout.split() == []
+
+
+_SERIAL_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from repro.campaign import CampaignRunner
+CampaignRunner(["abs"]).run()
+print(" ".join(sorted(m for m in sys.modules if m.startswith("repro.fleet"))))
+"""
+
+
+def test_width_one_campaign_does_not_import_the_fleet():
+    probe = subprocess.run(
+        [sys.executable, "-c", _SERIAL_PROBE, str(SRC)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert probe.stdout.split() == []
