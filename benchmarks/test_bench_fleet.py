@@ -1,13 +1,11 @@
-"""Bench: the fleet fabric — bit-identical transports, chaos recovery,
-and the process-mode speedup bar.
+"""Bench: the local process pool — bit-identity with serial, chaos
+recovery, and the pool's speedup bar.
 
 Four experiments, all archived in ``BENCH_fleet.json``:
 
-1. **Baseline** — a 5-function campaign runs serial, on the process
-   fleet, and on the remote fleet (attached to a running service
-   daemon whose workers lease its shards over the v1 protocol).  Every
-   transport must reproduce the serial reports bit-identically, in
-   catalog order.
+1. **Baseline** — a 5-function campaign runs serial and on the
+   process pool.  The pool must reproduce the serial reports
+   bit-identically, in catalog order.
 2. **Chaos** — the same campaign with ``REPRO_FLEET_CHAOS=kill-after:1``:
    every worker SIGKILLs itself after one completed function.  The
    campaign must still finish bit-identically and without a failed
@@ -30,8 +28,6 @@ from pathlib import Path
 from repro.campaign import CampaignConfig, CampaignRunner
 from repro.obs import export_bench_json
 from repro.obs.telemetry import Telemetry
-from repro.service import ServiceConfig, serve_in_thread
-from tests.fleet_workers import run_attached
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
 
@@ -80,24 +76,6 @@ def test_fleet_bench(tmp_path, monkeypatch):
         CampaignConfig(jobs=2, cache_dir=tmp_path / "proc"),
     )
     _assert_identical(processes, serial, BASELINE_FUNCTIONS)
-
-    daemon = serve_in_thread(ServiceConfig(cache_dir=tmp_path / "daemon"))
-    try:
-        host, port = daemon.address
-        remote, remote_seconds = run_attached(
-            daemon.address,
-            lambda: _timed(
-                BASELINE_FUNCTIONS,
-                CampaignConfig(
-                    jobs=2, cache_dir=tmp_path / "remote",
-                    fleet_address=f"{host}:{port}",
-                ),
-            ),
-        )
-    finally:
-        daemon.stop()
-    _assert_identical(remote, serial, BASELINE_FUNCTIONS)
-    assert remote.fleet_mode == "remote"
 
     # ------------------------------------------------------ chaos leg
     # Every worker kills itself (SIGKILL, no cleanup) after one
@@ -161,11 +139,6 @@ def test_fleet_bench(tmp_path, monkeypatch):
                 "fleet_mode": "processes",
                 "workers": processes.workers,
                 "seconds": round(process_seconds, 3),
-            },
-            {
-                "fleet_mode": "remote",
-                "workers": remote.workers,
-                "seconds": round(remote_seconds, 3),
             },
         ],
         "chaos": {

@@ -8,14 +8,13 @@ managed campaign:
 2. **cache** — serve unchanged functions from the
    :class:`~repro.campaign.store.OutcomeStore` without touching the
    sandbox;
-3. **inject** — run the misses: with a ``fleet_address`` as shards
-   of an already-running daemon's broker (``remote``, see
-   :mod:`repro.fleet.remote`); else in this process for a width of
-   one (``serial``: each report goes straight to the bookkeeping, and
-   is encoded only when a store will keep it; a raising function
-   fails alone); else on the :mod:`~repro.campaign.scheduler` pool
-   (``processes``: per-task timeout, heartbeats, bounded retry; a
-   crashed or hung worker fails only its function and the campaign
+3. **inject** — run the misses: in this process for a width of one
+   (``serial``: each report goes straight to the bookkeeping, and is
+   encoded only when a store will keep it; a raising function fails
+   alone); else on the :mod:`~repro.campaign.scheduler` pool
+   (``processes``: each worker runs :func:`inject_payload`, under a
+   per-task timeout, heartbeats and bounded retry; a crashed, hung or
+   raising worker fails only its function and the campaign
    continues);
 4. **finalize** — assemble reports in catalog order (independent of
    worker completion order), persist fresh outcomes to the store, and
@@ -69,9 +68,6 @@ class CampaignConfig:
     #: When set, the finished campaign is ingested into this results
     #: ledger (``repro.obs.ledger``) at finalize time.
     ledger: Optional[Path] = None
-    #: ``HOST:PORT`` of an already-running daemon: when set, its
-    #: registered workers run the inject phase (the remote fleet).
-    fleet_address: Optional[str] = None
 
 
 @dataclass
@@ -94,8 +90,7 @@ class CampaignResult:
     outcomes: dict[str, FunctionOutcome]
     phase_timings: dict[str, float] = field(default_factory=dict)
     campaign: str = ""
-    #: How the inject phase executed: ``serial`` | ``processes`` |
-    #: ``remote``.
+    #: How the inject phase executed: ``serial`` | ``processes``.
     fleet_mode: str = "serial"
     #: Effective worker count of the inject phase.
     workers: int = 1
@@ -191,12 +186,7 @@ class CampaignRunner:
 
         # --------------------------------------------------- inject phase
         started = time.perf_counter()
-        if config.fleet_address is not None:
-            fleet_mode = "remote"
-            # Leased shards run on the daemon's workers, so the local
-            # core count does not bound the width; the task count does.
-            workers = max(1, min(config.jobs, len(names)))
-        elif config.jobs > 1:
+        if config.jobs > 1:
             fleet_mode = "processes"
             workers = effective_jobs(config.jobs, len(names))
         else:
@@ -226,7 +216,8 @@ class CampaignRunner:
                 # `repro campaign status` shows a killed campaign's
                 # progress (a re-run resumes from the store).
                 self._write_manifest(
-                    ident, names, digests, outcomes, timings, workers
+                    ident, names, digests, outcomes, timings,
+                    fleet_mode, workers,
                 )
             if self.progress is not None:
                 self.progress(name, outcome, report)
@@ -261,26 +252,13 @@ class CampaignRunner:
                 jobs=config.jobs,
                 fleet=fleet_mode,
             ):
-                if fleet_mode == "remote":
-                    from repro.fleet.remote import run_remote_fleet
-
-                    run_remote_fleet(
-                        config.fleet_address, misses, digests,
-                        campaign=ident, shards=workers, run=config.run,
-                        telemetry=telemetry, on_result=on_result,
-                    )
-                else:
-                    from repro.fleet.worker import run_function
-
-                    run_tasks(
-                        misses,
-                        functools.partial(
-                            run_function, digests=digests, run=config.run
-                        ),
-                        jobs=config.jobs,
-                        telemetry=telemetry,
-                        on_result=on_result,
-                    )
+                run_tasks(
+                    misses,
+                    functools.partial(inject_payload, run=config.run),
+                    jobs=config.jobs,
+                    telemetry=telemetry,
+                    on_result=on_result,
+                )
         timings["inject"] = time.perf_counter() - started
 
         # -------------------------------------------------- finalize phase
@@ -291,7 +269,9 @@ class CampaignRunner:
         timings["finalize"] = time.perf_counter() - started
         timings["total"] = time.perf_counter() - total_started
         if self.store is not None:
-            self._write_manifest(ident, names, digests, outcomes, timings, workers)
+            self._write_manifest(
+                ident, names, digests, outcomes, timings, fleet_mode, workers
+            )
         result = CampaignResult(
             reports=reports, outcomes=outcomes,
             phase_timings=timings, campaign=ident,
@@ -373,6 +353,7 @@ class CampaignRunner:
         digests: dict[str, str],
         outcomes: dict[str, FunctionOutcome],
         timings: dict[str, float],
+        fleet_mode: str,
         workers: int,
     ) -> None:
         path = Path(self.config.cache_dir) / MANIFEST_NAME
@@ -381,9 +362,7 @@ class CampaignRunner:
             "campaign": ident,
             "jobs": self.config.jobs,
             "effective_jobs": workers,
-            "fleet": (
-                "processes" if self.config.fleet_address is None else "remote"
-            ),
+            "fleet": fleet_mode,
             "fault_models": list(self.config.run.fault_models),
             "functions": [
                 {
@@ -412,6 +391,16 @@ class CampaignRunner:
             except OSError:
                 pass
             raise
+
+
+def inject_payload(name: str, *, run: RunSpec) -> dict:
+    """The pool worker of the ``processes`` mode: inject one function
+    under ``run`` and return the report's store encoding, the only
+    thing that crosses the process boundary.  An exception reaches the
+    pool, which records its traceback and retries the function within
+    its budget."""
+    spec = BY_NAME[name]
+    return report_to_payload(FaultInjector(spec, run=run).run(), spec.prototype)
 
 
 def load_manifest(cache_dir: Path | str) -> Optional[dict]:

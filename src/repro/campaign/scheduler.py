@@ -37,7 +37,7 @@ Chaos hook
 
 ``REPRO_FLEET_CHAOS=kill-after:N`` makes a pool worker ``SIGKILL``
 itself after completing N tasks — the deterministic stand-in for
-``kill -9`` that the recovery tests and the CI fleet job use to prove
+``kill -9`` that the recovery tests and the CI pool job use to prove
 retry-on-death without racing a real signal against the pool.  The
 hook is read once per completion and does nothing when the variable
 is unset.
@@ -157,17 +157,6 @@ def clamp_jobs(jobs: int, task_count: int, telemetry=NULL_TELEMETRY) -> int:
 # worker side
 # ----------------------------------------------------------------------
 
-#: Attempt number of the task this process is running (see
-#: :func:`current_attempt`).
-_attempt = 1
-
-
-def current_attempt() -> int:
-    """The 1-based attempt number of the task the calling process is
-    running; set by the pool before each call."""
-    return _attempt
-
-
 def maybe_chaos_exit(completed: int) -> None:
     """Honour ``REPRO_FLEET_CHAOS=kill-after:N``: after N completed
     tasks the worker SIGKILLs itself (no cleanup, no goodbye —
@@ -191,7 +180,6 @@ def _pool_worker(worker, task_q, conn):
     """
     import traceback
 
-    global _attempt
     send_lock = threading.Lock()
 
     def send(message: tuple) -> None:
@@ -214,16 +202,16 @@ def _pool_worker(worker, task_q, conn):
             item = task_q.get()
             if item is None:
                 break
-            _attempt, name = item
-            send(("start", name, _attempt))
+            attempt, name = item
+            send(("start", name, attempt))
             started = time.perf_counter()
             try:
                 payload = worker(name)
             except BaseException:
-                send(("err", name, _attempt, traceback.format_exc(limit=20)))
+                send(("err", name, attempt, traceback.format_exc(limit=20)))
             else:
                 send(
-                    ("ok", name, _attempt, payload, time.perf_counter() - started)
+                    ("ok", name, attempt, payload, time.perf_counter() - started)
                 )
             completed += 1
             maybe_chaos_exit(completed)

@@ -8,12 +8,9 @@ Exposes the pipeline the way the real HEALERS tooling would be driven:
 * ``ballista``           — the Figure-6 robustness evaluation
 * ``campaign``           — managed campaigns: run / status / clean
   (``run --jobs N`` fans the inject phase out over the local process
-  pool; ``run --connect HOST:PORT`` hands it to the workers of a
-  running daemon, the :mod:`repro.fleet` remote fleet)
+  pool)
 * ``serve``              — the hardening-as-a-service daemon
 * ``query``              — one request against a running daemon
-* ``fleet``              — remote campaign workers (``fleet worker
-  --connect HOST:PORT``) and broker visibility (``fleet status``)
 * ``bitflips``           — the section-9 bit-flip campaign
 * ``diff``               — compare declaration bundles across releases
 * ``list``               — the simulated library's catalog
@@ -138,7 +135,6 @@ def _campaign_config(args: argparse.Namespace, run, cache_dir=None):
         cache_dir=Path(cache_dir) if cache_dir else None,
         run=run,
         ledger=Path(ledger) if ledger else None,
-        fleet_address=getattr(args, "connect", None),
     )
 
 
@@ -342,14 +338,6 @@ def _campaign_run(args: argparse.Namespace, cache_dir: Path) -> int:
     run = _run_arg(args)
     if run is None:
         return 2
-    if args.connect is not None:
-        from repro.fleet.remote import parse_address
-
-        try:
-            parse_address(args.connect)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
     telemetry = _telemetry_for(args)
     progress = None
     if not args.json:
@@ -363,13 +351,7 @@ def _campaign_run(args: argparse.Namespace, cache_dir: Path) -> int:
         telemetry=telemetry,
         progress=progress,
     )
-    try:
-        result = runner.run()
-    except OSError as exc:
-        if args.connect is None:
-            raise
-        print(f"cannot reach {args.connect}: {exc}", file=sys.stderr)
-        return 2
+    result = runner.run()
     if args.json:
         print(json.dumps(_campaign_summary(result), indent=2))
     else:
@@ -453,7 +435,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.fleet.broker import DEFAULT_LEASE_TTL
     from repro.service import HealersService, ServiceConfig
 
     config = ServiceConfig(
@@ -467,9 +448,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
         drain_seconds=args.drain_seconds,
         ledger=Path(args.ledger) if args.ledger else None,
-        lease_ttl=(
-            DEFAULT_LEASE_TTL if args.lease_ttl is None else args.lease_ttl
-        ),
     )
 
     async def run() -> None:
@@ -498,48 +476,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:  # pragma: no cover - signal-handler race
         pass
     return 0
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet.remote import parse_address
-
-    try:
-        host, port = parse_address(args.connect)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.fleet_command == "status":
-        from repro.service import ServiceClient, ServiceError
-
-        try:
-            with ServiceClient(host, port) as client:
-                print(json.dumps(client.fleet_status(), indent=2))
-        except ServiceError as exc:
-            print(f"error {exc.code}: {exc.message}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"cannot reach {host}:{port}: {exc}", file=sys.stderr)
-            return 2
-        return 0
-
-    from repro.fleet.worker import remote_worker_main
-    from repro.service import wait_for_service
-
-    if args.wait and not wait_for_service(host, port, timeout=args.wait):
-        print(f"no service at {host}:{port} after {args.wait:.0f}s",
-              file=sys.stderr)
-        return 2
-    try:
-        return remote_worker_main(
-            host, port, name=args.name,
-            exit_when_idle=args.exit_when_idle,
-            max_shards=args.max_shards,
-        )
-    except KeyboardInterrupt:
-        return 0
-    except OSError as exc:
-        print(f"cannot reach {host}:{port}: {exc}", file=sys.stderr)
-        return 2
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -881,11 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="functions (default: the 86-function set)")
     campaign_run.add_argument("--jobs", type=int, default=1, metavar="N",
                               help="worker count: 1 injects in this process, "
-                                   "more run the local process pool (with "
-                                   "--connect: the shard count)")
-    campaign_run.add_argument("--connect", metavar="HOST:PORT",
-                              help="hand the inject phase to the workers of "
-                                   "this running daemon (the remote fleet)")
+                                   "more run the local process pool")
     campaign_run.add_argument("--cache-dir", metavar="DIR",
                               help="cache directory (default: "
                                    ".healers_cache/campaign)")
@@ -933,39 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--ledger", metavar="DB",
                        help="results ledger (sqlite): enables the history "
                             "op and the shutdown traffic rollup")
-    serve.add_argument("--lease-ttl", type=float, metavar="SECONDS",
-                       help="fleet shard lease duration (default: the "
-                            "broker's DEFAULT_LEASE_TTL); a remote worker "
-                            "silent this long loses its work back to the "
-                            "queue")
-
-    fleet = sub.add_parser(
-        "fleet", help="remote campaign workers and fleet visibility"
-    )
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-    fleet_worker = fleet_sub.add_parser(
-        "worker",
-        help="run a remote campaign worker against a service daemon",
-    )
-    fleet_worker.add_argument("--connect", default="127.0.0.1:7411",
-                              metavar="HOST:PORT",
-                              help="daemon to lease shards from")
-    fleet_worker.add_argument("--name", default=None,
-                              help="worker name (default: host:pid)")
-    fleet_worker.add_argument("--exit-when-idle", action="store_true",
-                              help="exit once the broker drains instead of "
-                                   "polling for the next campaign")
-    fleet_worker.add_argument("--max-shards", type=int, default=None,
-                              metavar="N",
-                              help="exit after completing N shards")
-    fleet_worker.add_argument("--wait", type=float, default=0.0,
-                              metavar="SECONDS",
-                              help="wait up to SECONDS for the daemon")
-    fleet_status = fleet_sub.add_parser(
-        "status", help="broker-wide fleet visibility as JSON"
-    )
-    fleet_status.add_argument("--connect", default="127.0.0.1:7411",
-                              metavar="HOST:PORT")
 
     query = sub.add_parser(
         "query", help="send one request to a running daemon"
@@ -1087,7 +986,6 @@ _COMMANDS = {
     "ballista": _cmd_ballista,
     "campaign": _cmd_campaign,
     "serve": _cmd_serve,
-    "fleet": _cmd_fleet,
     "query": _cmd_query,
     "bitflips": _cmd_bitflips,
     "faults": _cmd_faults,

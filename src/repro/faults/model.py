@@ -12,10 +12,10 @@ Determinism rules (the digest honesty contract):
 
 * A model's behaviour is a pure function of its parameters; the
   parameters are JSON scalars and fold into :func:`faults_fingerprint`,
-  which the campaign digest and the fleet wire fingerprints embed.
+  which the campaign digest embeds.
   Same models + same parameters = same fingerprint = same digest;
   any change to either must produce a different digest so cached,
-  fleeted, and plain runs never alias.
+  armed, and plain runs never alias.
 * :meth:`FaultModel.scenarios` must be deterministic in the function
   spec alone — no entropy, no ambient state.
 * :meth:`FaultModel.arm` may only touch the runtime it is handed
@@ -24,7 +24,7 @@ Determinism rules (the digest honesty contract):
 ``FAULTS_VERSION`` is the schema version of this contract.  Bump it
 whenever the meaning of a fingerprint-identical configuration changes
 (new arming semantics, different scenario sampling), so stale cache
-entries and mixed-version fleets are refused rather than aliased.
+entries are refused rather than aliased.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def resolve_fault_models(value: FaultModelsSpec) -> tuple[FaultModel, ...]:
 
 def canonical_fault_specs(value: FaultModelsSpec) -> tuple[str, ...]:
     """The canonical, picklable spec-string form (used by configs and
-    the fleet wire format, where instances must not travel)."""
+    by the pool, where instances must not travel)."""
     return tuple(m.spec_string() for m in resolve_fault_models(value))
 
 

@@ -88,8 +88,8 @@ class RunSpec:
 
     Everything else an injection result depends on (the function, its
     generators, the lattice) is fixed per function; this is what one
-    run chooses.  The digest, the fleet wire and the injector all read
-    the same object, so they cannot disagree.  Fault models are held
+    run chooses.  The digest and the injector both read the same
+    object, so they cannot disagree.  Fault models are held
     as canonical spec strings (sorted by model name), which keeps the
     spec hashable and picklable; :meth:`models` resolves them.
     """
@@ -127,19 +127,6 @@ class RunSpec:
         if self.fault_models:
             block["faults"] = faults_fingerprint(self.fault_models)
         return block
-
-    def to_wire(self) -> dict:
-        return {
-            "max_vectors": self.max_vectors,
-            "fault_models": list(self.fault_models),
-        }
-
-    @classmethod
-    def from_wire(cls, document: dict) -> "RunSpec":
-        return cls(
-            max_vectors=int(document["max_vectors"]),
-            fault_models=tuple(str(m) for m in document.get("fault_models", [])),
-        )
 
 
 @dataclass

@@ -197,65 +197,3 @@ class ServiceClient:
 
     def metrics_text(self, **kw) -> str:
         return str(self.call("metrics", **kw).get("body", ""))
-
-    # ------------------------------------------------------------------
-    # fleet: worker side
-    # ------------------------------------------------------------------
-
-    def worker_register(self, name: str, fingerprints: dict, **kw) -> dict:
-        return self.call(
-            "worker.register",
-            {"name": name, "fingerprints": dict(fingerprints)},
-            **kw,
-        )
-
-    def worker_lease(self, worker_id: str, **kw) -> dict:
-        return self.call("worker.lease", {"worker_id": worker_id}, **kw)
-
-    def worker_heartbeat(self, worker_id: str, **kw) -> dict:
-        return self.call("worker.heartbeat", {"worker_id": worker_id}, **kw)
-
-    def worker_result(
-        self, worker_id: str, campaign: str, shard_id: str, result: dict, **kw
-    ) -> dict:
-        return self.call(
-            "worker.result",
-            {
-                "worker_id": worker_id,
-                "campaign": campaign,
-                "shard_id": shard_id,
-                "result": result,
-            },
-            **kw,
-        )
-
-    def worker_complete(self, worker_id: str, shard_id: str, **kw) -> dict:
-        return self.call(
-            "worker.complete",
-            {"worker_id": worker_id, "shard_id": shard_id},
-            **kw,
-        )
-
-    # ------------------------------------------------------------------
-    # fleet: coordinator side
-    # ------------------------------------------------------------------
-
-    def fleet_submit(
-        self, shards: list[dict], task_retries: int = 1, **kw
-    ) -> dict:
-        return self.call(
-            "fleet.submit",
-            {"shards": list(shards), "task_retries": task_retries},
-            **kw,
-        )
-
-    def fleet_collect(self, campaign: str, after: int = 0, **kw) -> dict:
-        return self.call(
-            "fleet.collect", {"campaign": campaign, "after": after}, **kw
-        )
-
-    def fleet_forget(self, campaign: str, **kw) -> dict:
-        return self.call("fleet.forget", {"campaign": campaign}, **kw)
-
-    def fleet_status(self, **kw) -> dict:
-        return self.call("fleet.status", **kw)

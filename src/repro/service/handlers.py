@@ -37,8 +37,6 @@ from typing import Optional
 from repro.campaign.digest import outcome_digest
 from repro.campaign.store import OutcomeStore, report_to_payload
 from repro.cdecl import DeclarationParser, typedef_table
-from repro.fleet.broker import DEFAULT_LEASE_TTL, BrokerError, ShardBroker
-from repro.fleet.wire import FunctionResult, ShardSpec, WireError
 from repro.injector import FaultInjector, InjectionReport, RunSpec
 from repro.libc.catalog import BALLISTA_SET, BY_NAME, CATALOG
 from repro.obs import Telemetry
@@ -76,7 +74,6 @@ class ServiceState:
         burst: float = 1.0,
         telemetry: Optional[Telemetry] = None,
         ledger: Optional[Path | str] = None,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
     ) -> None:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.ledger_path = Path(ledger) if ledger is not None else None
@@ -110,9 +107,6 @@ class ServiceState:
         self.shutting_down = False
         self._digests: dict[tuple[str, RunSpec], str] = {}
         self._reports: dict[str, InjectionReport] = {}
-        # The fleet's shard broker: remote workers lease campaign
-        # shards from here (see repro.fleet.broker).
-        self.broker = ShardBroker(telemetry=self.telemetry, lease_ttl=lease_ttl)
 
     # ------------------------------------------------------------------
     def digest_for(self, name: str, run: RunSpec = RunSpec()) -> str:
@@ -614,148 +608,6 @@ async def handle_history(state: ServiceState, params: dict) -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# fleet endpoints (repro.fleet remote mode)
-#
-# Everything here is bookkeeping against the in-memory shard broker —
-# microseconds of work, never an injection.  All of it is control-plane
-# (bypasses admission): a fleet must keep leasing, heartbeating, and
-# reporting even while the daemon's injection workers are saturated,
-# otherwise backpressure on the data plane would deadlock the very
-# workers that drain the queue.
-# ----------------------------------------------------------------------
-
-
-def _string_param(params: dict, key: str) -> str:
-    value = params.get(key)
-    if not isinstance(value, str) or not value:
-        raise ServiceError(
-            ErrorCode.INVALID_PARAMS, f"params.{key} (string) is required"
-        )
-    return value
-
-
-def _broker_call(fn, *args, **kwargs):
-    """Map broker/wire failures to typed protocol errors."""
-    try:
-        return fn(*args, **kwargs)
-    except (BrokerError, WireError) as exc:
-        raise ServiceError(ErrorCode.INVALID_PARAMS, str(exc)) from exc
-
-
-async def handle_worker_register(state: ServiceState, params: dict) -> dict:
-    """Admit a fleet worker; refuses code-version (fingerprint) skew."""
-    name = _string_param(params, "name")
-    fingerprints = params.get("fingerprints")
-    if not isinstance(fingerprints, dict):
-        raise ServiceError(
-            ErrorCode.INVALID_PARAMS,
-            "params.fingerprints (object) is required",
-        )
-    return _broker_call(state.broker.register, name, fingerprints)
-
-
-async def handle_worker_lease(state: ServiceState, params: dict) -> dict:
-    """Lease the next queued shard; ``drained`` tells an
-    exit-when-idle worker there is nothing left to wait for."""
-    worker_id = _string_param(params, "worker_id")
-    shard = _broker_call(state.broker.lease, worker_id)
-    if shard is not None:
-        return {"shard": shard.encode(), "drained": False}
-    snapshot = state.broker.status()
-    drained = (
-        snapshot["shards_queued"] == 0
-        and snapshot["shards_leased"] == 0
-        and all(job["done"] for job in snapshot["campaigns"].values())
-    )
-    return {"shard": None, "drained": drained}
-
-
-async def handle_worker_heartbeat(state: ServiceState, params: dict) -> dict:
-    worker_id = _string_param(params, "worker_id")
-    return _broker_call(state.broker.heartbeat, worker_id)
-
-
-async def handle_worker_result(state: ServiceState, params: dict) -> dict:
-    """Accept one streamed function result and persist its payload to
-    the content-addressed store (fleet-wide dedup for every later
-    campaign and for ``inject``/``harden`` requests alike)."""
-    worker_id = _string_param(params, "worker_id")
-    campaign = _string_param(params, "campaign")
-    try:
-        result = FunctionResult.decode(params.get("result"))
-    except WireError as exc:
-        raise ServiceError(ErrorCode.INVALID_PARAMS, str(exc)) from exc
-    accepted = _broker_call(
-        state.broker.record_result, campaign, result, worker_id
-    )
-    if accepted and result.ok and result.payload and state.store is not None:
-        state.store.put_payload(result.digest, result.payload)
-    return {"accepted": accepted}
-
-
-async def handle_worker_complete(state: ServiceState, params: dict) -> dict:
-    worker_id = _string_param(params, "worker_id")
-    shard_id = _string_param(params, "shard_id")
-    return _broker_call(state.broker.complete, worker_id, shard_id)
-
-
-async def handle_fleet_submit(state: ServiceState, params: dict) -> dict:
-    """Queue a campaign's shards; functions whose digest is already in
-    the outcome store are satisfied from cache before any worker sees
-    them."""
-    documents = params.get("shards")
-    if not isinstance(documents, list) or not documents:
-        raise ServiceError(
-            ErrorCode.INVALID_PARAMS,
-            "params.shards (non-empty list) is required",
-        )
-    try:
-        shards = [ShardSpec.decode(doc) for doc in documents]
-    except WireError as exc:
-        raise ServiceError(ErrorCode.INVALID_PARAMS, str(exc)) from exc
-    task_retries = params.get("task_retries", 1)
-    if not isinstance(task_retries, int) or isinstance(task_retries, bool):
-        raise ServiceError(
-            ErrorCode.INVALID_PARAMS, "params.task_retries must be an integer"
-        )
-    submitted = _broker_call(
-        state.broker.submit, shards, task_retries=task_retries
-    )
-    cached = 0
-    if not submitted.get("deduped") and state.store is not None:
-        campaign = shards[0].campaign
-        for shard in shards:
-            for name, digest in zip(shard.functions, shard.digests):
-                payload = state.store.get_payload(digest)
-                if payload is not None and state.broker.satisfy_from_cache(
-                    campaign, name, payload
-                ):
-                    cached += 1
-    submitted["cached"] = cached
-    return submitted
-
-
-async def handle_fleet_collect(state: ServiceState, params: dict) -> dict:
-    campaign = _string_param(params, "campaign")
-    after = params.get("after", 0)
-    if not isinstance(after, int) or isinstance(after, bool) or after < 0:
-        raise ServiceError(
-            ErrorCode.INVALID_PARAMS,
-            "params.after must be a non-negative integer",
-        )
-    return _broker_call(state.broker.collect, campaign, after)
-
-
-async def handle_fleet_forget(state: ServiceState, params: dict) -> dict:
-    campaign = _string_param(params, "campaign")
-    return {"forgotten": state.broker.forget(campaign)}
-
-
-async def handle_fleet_status(state: ServiceState, params: dict) -> dict:
-    return state.broker.status()
-
-
 #: Endpoint registry; the ``status`` endpoint publishes the key set.
 HANDLERS = {
     "declaration": handle_declaration,
@@ -766,23 +618,8 @@ HANDLERS = {
     "status": handle_status,
     "metrics": handle_metrics,
     "history": handle_history,
-    "worker.register": handle_worker_register,
-    "worker.lease": handle_worker_lease,
-    "worker.heartbeat": handle_worker_heartbeat,
-    "worker.result": handle_worker_result,
-    "worker.complete": handle_worker_complete,
-    "fleet.submit": handle_fleet_submit,
-    "fleet.collect": handle_fleet_collect,
-    "fleet.forget": handle_fleet_forget,
-    "fleet.status": handle_fleet_status,
 }
 
 #: Control-plane ops bypass admission control and run without a work
-#: deadline: overload and drain must never blind the operator.  The
-#: fleet/worker ops qualify — they are in-memory broker bookkeeping,
-#: and admission backpressure on them would deadlock the fleet whose
-#: workers exist to drain the actual work.
-CONTROL_OPS = frozenset(
-    {"status", "metrics", "history"}
-    | {op for op in HANDLERS if op.startswith(("worker.", "fleet."))}
-)
+#: deadline: overload and drain must never blind the operator.
+CONTROL_OPS = frozenset({"status", "metrics", "history"})

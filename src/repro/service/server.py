@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.fleet.broker import DEFAULT_LEASE_TTL
 from repro.obs import Telemetry
 from repro.service.admission import Overloaded
 from repro.service.handlers import CONTROL_OPS, HANDLERS, ServiceState
@@ -71,7 +70,6 @@ class ServiceConfig:
     drain_seconds: float = DEFAULT_DRAIN_SECONDS
     ledger: Optional[Path] = None        # results ledger (history op +
                                          # rollup on graceful shutdown)
-    lease_ttl: float = DEFAULT_LEASE_TTL  # fleet shard lease duration
 
 
 class HealersService:
@@ -91,7 +89,6 @@ class HealersService:
             burst=config.burst,
             telemetry=telemetry,
             ledger=config.ledger,
-            lease_ttl=config.lease_ttl,
         )
         self.telemetry = self.state.telemetry
         self._server: Optional[asyncio.base_events.Server] = None

@@ -7,6 +7,7 @@ import json
 import re
 from pathlib import Path
 
+from repro.campaign import load_manifest
 from repro.cli import main
 
 
@@ -81,8 +82,9 @@ class TestCampaignCommand:
 
 
     def test_jobs_is_the_processes_fleet(self, tmp_path, capsys):
-        # --jobs N runs the process pool: its own label, the same
-        # digests, and an outcome store byte-identical to a serial run.
+        # --jobs N runs the process pool: its own label (in the JSON
+        # summary and the manifest alike), the same digests, and an
+        # outcome store byte-identical to a serial run.
         functions = ["abs", "labs", "atoi"]
         runs = {"serial": [], "jobs": ["--jobs", "2"]}
         docs, stores = {}, {}
@@ -93,6 +95,7 @@ class TestCampaignCommand:
                  "--cache-dir", str(cache), "--json"]
             ) == 0
             docs[label] = json.loads(capsys.readouterr().out)
+            assert load_manifest(cache)["fleet"] == docs[label]["fleet_mode"]
             stores[label] = {
                 path.name: path.read_bytes()
                 for path in (cache / "outcomes").glob("*.json")

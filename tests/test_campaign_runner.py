@@ -11,9 +11,8 @@ from repro.campaign import (
     clean_cache,
     load_manifest,
 )
+from repro.campaign.runner import inject_payload
 from repro.core.pipeline import HealersPipeline
-from repro.fleet.wire import FunctionResult
-from repro.fleet.worker import execute_function
 from repro.injector import FaultInjector
 from repro.libc.catalog import BALLISTA_SET
 from repro.sandbox import Sandbox
@@ -30,14 +29,11 @@ class ExplodingInjector(FaultInjector):
         return super().run()
 
 
-def exploding_execute(name, digest, *args, attempt=1, **kwargs):
-    """The pool worker's execution path, failing ``labs``."""
+def exploding_payload(name, **kwargs):
+    """The pool worker, raising for ``labs``."""
     if name == "labs":
-        return FunctionResult(
-            function=name, digest=digest, status="failed",
-            attempt=attempt, elapsed=0.0, error="injector exploded",
-        )
-    return execute_function(name, digest, *args, attempt=attempt, **kwargs)
+        raise RuntimeError("injector exploded")
+    return inject_payload(name, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -213,14 +209,13 @@ class TestPipelineCampaign:
         assert "total" in serial.phase_timings
 
     def test_campaign_pipeline_reports_failures(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.fleet.worker.execute_function", exploding_execute
-        )
+        monkeypatch.setattr(runner_mod, "inject_payload", exploding_payload)
         hardened = HealersPipeline(
             functions=["abs", "labs"], config=CampaignConfig(jobs=2)
         ).run()
         assert list(hardened.declarations) == ["abs"]
         assert set(hardened.failed_functions) == {"labs"}
+        assert "injector exploded" in hardened.failed_functions["labs"]
 
     def test_serial_pipeline_records_a_raising_function(self, monkeypatch):
         # In process, a raising injector fails its function only: the

@@ -12,7 +12,6 @@ import multiprocessing as mp
 import pytest
 
 from repro.campaign import CampaignConfig, CampaignRunner, outcome_digest
-from repro.fleet.wire import ShardSpec, fleet_fingerprints
 from repro.injector import RunSpec
 from repro.libc.catalog import BY_NAME
 
@@ -60,24 +59,6 @@ class TestOutcomeDigest:
         assert outcome_digest(
             spec, RunSpec(fault_models="signal,resource")
         ) == outcome_digest(spec, RunSpec(fault_models="resource,signal"))
-
-
-class TestWire:
-    def test_fingerprints_carry_the_faults_version(self):
-        from repro.faults import FAULTS_VERSION
-
-        assert fleet_fingerprints()["faults"] == FAULTS_VERSION
-
-    def test_shard_spec_round_trips_fault_models(self):
-        shard = ShardSpec.build(
-            shard_id="c/0",
-            campaign="c",
-            run=RunSpec(MAX_VECTORS, ("resource", "signal:offsets=1|64")),
-            functions=("abs",),
-            digests=("d",),
-        )
-        decoded = ShardSpec.decode(shard.encode())
-        assert decoded.run.fault_models == ("resource", "signal:offsets=1|64")
 
 
 def run_campaign(tmp_path, subdir, fault_models=(), **config):

@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 
 from repro.ballista import BallistaHarness
+from repro.campaign.scheduler import CHAOS_ENV
 from repro.core.pipeline import HardenedLibrary
 from repro.declarations import FunctionDeclaration, apply_all_manual_edits
-from repro.fleet.worker import CHAOS_ENV
 from repro.obs.telemetry import Telemetry
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"

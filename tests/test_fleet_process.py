@@ -1,6 +1,6 @@
 """Tests for the ``processes`` fleet mode (the supervised pool running
-:func:`repro.fleet.worker.run_function`): bit-identical merges, worker
-death (kill -9) recovery, deadlines, and retry budgets."""
+:func:`repro.campaign.runner.inject_payload`): bit-identical merges,
+worker death (kill -9) recovery, deadlines, and retry budgets."""
 
 import functools
 import multiprocessing as mp
@@ -9,8 +9,8 @@ import time
 import pytest
 
 from repro.campaign import CampaignConfig, CampaignRunner, run_tasks
-from repro.fleet.worker import CHAOS_ENV, execute_function, run_function
-from repro.fleet.wire import FunctionResult
+from repro.campaign.runner import inject_payload
+from repro.campaign.scheduler import CHAOS_ENV
 from repro.injector import RunSpec
 from repro.obs.telemetry import Telemetry
 
@@ -18,30 +18,27 @@ from repro.obs.telemetry import Telemetry
 #: second, so supervised-fleet tests stay tier-1 fast.
 FUNCTIONS = ["abs", "labs", "atoi", "isdigit", "toupper", "strcpy"]
 RUN = RunSpec(max_vectors=24)
-DIGESTS = {name: f"digest-{name}" for name in FUNCTIONS}
 
 needs_fork = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
-    reason="worker-side monkeypatching needs the fork start method",
+    reason="workers defined in a test need the fork start method",
 )
 
 
 @pytest.fixture(scope="module")
 def serial_payloads():
     """The ground truth: every function executed serially in-process."""
-    return {
-        name: execute_function(name, DIGESTS[name], RUN).payload
-        for name in FUNCTIONS
-    }
+    return {name: inject_payload(name, run=RUN) for name in FUNCTIONS}
 
 
-def run_fleet_payloads(names=FUNCTIONS, telemetry=None, **overrides):
+def run_fleet_payloads(
+    names=FUNCTIONS, telemetry=None, worker=inject_payload, **overrides
+):
     options = dict(jobs=2, timeout=60.0, task_retries=1)
     options.update(overrides)
     if telemetry is not None:
         options["telemetry"] = telemetry
-    worker = functools.partial(run_function, digests=DIGESTS, run=RUN)
-    return run_tasks(names, worker, **options)
+    return run_tasks(names, functools.partial(worker, run=RUN), **options)
 
 
 class TestBitIdentical:
@@ -79,61 +76,49 @@ class TestWorkerDeath:
 
 @needs_fork
 class TestDeadlinesAndRetries:
-    def test_hung_function_hits_deadline(self, monkeypatch):
-        def fake_execute(name, digest, *args, attempt=1, **kwargs):
+    def test_hung_function_hits_deadline(self):
+        def hanging(name, **kwargs):
             if name == "abs":
                 time.sleep(60.0)
-            return execute_function(
-                name, digest, *args, attempt=attempt, **kwargs
-            )
+            return inject_payload(name, **kwargs)
 
-        monkeypatch.setattr(
-            "repro.fleet.worker.execute_function", fake_execute
-        )
         telemetry = Telemetry()
         results = run_fleet_payloads(
-            telemetry=telemetry, timeout=0.5, task_retries=0
+            telemetry=telemetry, worker=hanging, timeout=0.5, task_retries=0
         )
         assert not results["abs"].ok
         assert "retry budget" in results["abs"].error
         assert all(results[n].ok for n in FUNCTIONS if n != "abs")
 
-    def test_transient_failure_retries_on_fresh_worker(self, monkeypatch):
-        def fake_execute(name, digest, *args, attempt=1, **kwargs):
-            if name == "abs" and attempt == 1:
-                return FunctionResult(
-                    function=name, digest=digest, status="failed",
-                    attempt=attempt, elapsed=0.0, error="transient",
-                )
-            return execute_function(
-                name, digest, *args, attempt=attempt, **kwargs
-            )
+    def test_transient_failure_retries_on_fresh_worker(
+        self, tmp_path, serial_payloads
+    ):
+        # The first attempt leaves a marker file behind, which the
+        # retry (in another process) sees.
+        marker = tmp_path / "abs-failed-once"
 
-        monkeypatch.setattr(
-            "repro.fleet.worker.execute_function", fake_execute
-        )
-        results = run_fleet_payloads(task_retries=1)
+        def flaky(name, **kwargs):
+            if name == "abs" and not marker.exists():
+                marker.touch()
+                raise RuntimeError("transient")
+            return inject_payload(name, **kwargs)
+
+        results = run_fleet_payloads(worker=flaky, task_retries=1)
         assert results["abs"].ok
         assert results["abs"].attempts == 2
+        assert results["abs"].payload == serial_payloads["abs"]
 
-    def test_exhausted_retries_fail_terminally(self, monkeypatch):
-        def fake_execute(name, digest, *args, attempt=1, **kwargs):
+    def test_exhausted_retries_fail_terminally(self):
+        def broken(name, **kwargs):
             if name == "abs":
-                return FunctionResult(
-                    function=name, digest=digest, status="failed",
-                    attempt=attempt, elapsed=0.0, error="always broken",
-                )
-            return execute_function(
-                name, digest, *args, attempt=attempt, **kwargs
-            )
+                raise RuntimeError("always broken")
+            return inject_payload(name, **kwargs)
 
-        monkeypatch.setattr(
-            "repro.fleet.worker.execute_function", fake_execute
-        )
-        results = run_fleet_payloads(task_retries=1)
+        results = run_fleet_payloads(worker=broken, task_retries=1)
         assert not results["abs"].ok
         assert "always broken" in results["abs"].error
         assert results["abs"].attempts == 2
+        assert all(results[n].ok for n in FUNCTIONS if n != "abs")
 
 
 class TestCampaignIntegration:

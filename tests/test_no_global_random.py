@@ -1,6 +1,6 @@
 """Campaign output does not depend on worker, shard or completion order.
 
-Serial, pooled and remote runs are bit-identical because no code under
+Serial and pooled runs are bit-identical because no code under
 ``src/`` draws from the process-global ``random`` state: randomness, where
 a module needs it, comes from its own seeded ``random.Random`` (as
 ``repro.syslib.synthetic`` does with ``CORPUS_SEED``).  This scan holds

@@ -34,16 +34,21 @@ def test_cli_and_pipeline_import_only_the_standard_library():
     assert probe.stdout.split() == []
 
 
+# A width-1 campaign injects in process: it starts no pool, so it must
+# not pay for importing multiprocessing, and never touches the daemon.
 _SERIAL_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from repro.campaign import CampaignRunner
 CampaignRunner(["abs"]).run()
-print(" ".join(sorted(m for m in sys.modules if m.startswith("repro.fleet"))))
+print(" ".join(sorted(
+    m for m in sys.modules
+    if m == "multiprocessing" or m.startswith(("multiprocessing.", "repro.service"))
+)))
 """
 
 
-def test_width_one_campaign_does_not_import_the_fleet():
+def test_width_one_campaign_imports_neither_multiprocessing_nor_the_service():
     probe = subprocess.run(
         [sys.executable, "-c", _SERIAL_PROBE, str(SRC)],
         capture_output=True,

@@ -58,9 +58,6 @@ class TestEndpoints:
         assert set(status["ops"]) == {
             "ballista", "declaration", "harden", "history", "inject",
             "metrics", "status", "validate",
-            "worker.register", "worker.lease", "worker.heartbeat",
-            "worker.result", "worker.complete",
-            "fleet.submit", "fleet.collect", "fleet.forget", "fleet.status",
         }
         assert status["admission"]["capacity"] == 34
         assert status["shutting_down"] is False
@@ -163,9 +160,12 @@ class TestTypedErrors:
             client.inject("no_such_function")
         assert err.value.code == ErrorCode.UNKNOWN_FUNCTION
 
-    def test_unknown_op(self, client):
+    # A worker of the deleted remote fleet still asking for a lease
+    # gets the same typed error as any other unknown op.
+    @pytest.mark.parametrize("op", ["frobnicate", "worker.lease"])
+    def test_unknown_op(self, client, op):
         with pytest.raises(ServiceError) as err:
-            client.call("frobnicate")
+            client.call(op, {"worker_id": "w-1"})
         assert err.value.code == ErrorCode.UNKNOWN_OP
 
     def test_invalid_params(self, client):
