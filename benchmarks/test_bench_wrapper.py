@@ -1,4 +1,8 @@
-"""Bench: compiled CheckPrograms vs the interpreted checker (PR 9).
+"""Bench: compiled CheckPrograms vs the interpreted reference checker.
+
+The interpreted checker is ``tests/wrapper_reference.py``'s
+:class:`ReferenceWrapper`: the wrapper with the per-call
+``CheckLibrary`` walk in place of the compiled program.
 
 Three legs, all exported to ``BENCH_wrapper.json`` for the ledger:
 
@@ -7,8 +11,9 @@ Three legs, all exported to ``BENCH_wrapper.json`` for the ledger:
   through both checker implementations; asserts the compiled checker's
   >= 2x floor.
 * **table2_gcc** — the real Table 2 gcc row computed with the
-  interpreted and the compiled checker; asserts a measured drop in
-  ``checking_overhead_pct``.
+  interpreted and the compiled checker (the reference is swapped into
+  :mod:`repro.apps.runner` for the interpreted row); asserts a
+  measured drop in ``checking_overhead_pct``.
 * **service_batch** — one batched ``validate`` request vs the same
   calls issued one request each against a live daemon; asserts the
   batch amortization wins.
@@ -25,11 +30,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps import GccApp, table2_row
+from repro.apps import GccApp, runner, table2_row
 from repro.libc.runtime import standard_runtime
 from repro.obs import export_bench_json
 from repro.service import ServiceClient, ServiceConfig, serve_in_thread
 from repro.wrapper import WrapperLibrary, WrapperPolicy
+from tests.wrapper_reference import ReferenceWrapper
 
 from conftest import print_table
 
@@ -71,13 +77,11 @@ def _gcc_style_calls(runtime):
     return calls
 
 
-def _time_checker(declarations, calls, runtime, compiled: bool) -> tuple[float, WrapperLibrary]:
+def _time_checker(declarations, calls, runtime, wrapper_class) -> tuple[float, WrapperLibrary]:
     best = float("inf")
     wrapper = None
     for _ in range(ROUNDS):
-        wrapper = WrapperLibrary(
-            declarations, WrapperPolicy.ROBUST, compiled=compiled
-        )
+        wrapper = wrapper_class(declarations, WrapperPolicy.ROBUST)
         started = time.perf_counter()
         results = wrapper.validate_many(calls, runtime)
         elapsed = time.perf_counter() - started
@@ -91,10 +95,10 @@ def checker_leg(hardened86):
     runtime = standard_runtime()
     calls = _gcc_style_calls(runtime)
     interpreted_seconds, _ = _time_checker(
-        hardened86.declarations, calls, runtime, compiled=False
+        hardened86.declarations, calls, runtime, ReferenceWrapper
     )
     compiled_seconds, wrapper = _time_checker(
-        hardened86.declarations, calls, runtime, compiled=True
+        hardened86.declarations, calls, runtime, WrapperLibrary
     )
     return {
         "calls": len(calls),
@@ -109,12 +113,10 @@ def checker_leg(hardened86):
 
 @pytest.fixture(scope="module")
 def table2_leg(hardened86):
-    interpreted = table2_row(
-        GccApp(), hardened86.declarations, repeats=2, compiled=False
-    )
-    compiled = table2_row(
-        GccApp(), hardened86.declarations, repeats=2, compiled=True
-    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(runner, "WrapperLibrary", ReferenceWrapper)
+        interpreted = table2_row(GccApp(), hardened86.declarations, repeats=2)
+    compiled = table2_row(GccApp(), hardened86.declarations, repeats=2)
     return {
         "interpreted_checking_overhead_pct": round(
             interpreted.checking_overhead_pct, 4
@@ -177,8 +179,8 @@ def golden_leg(hardened86):
     from repro.ballista.harness import BallistaHarness
 
     harness = BallistaHarness(test_cap=4)
-    interpreted = WrapperLibrary(hardened86.declarations, compiled=False)
-    compiled = WrapperLibrary(hardened86.declarations, compiled=True)
+    interpreted = ReferenceWrapper(hardened86.declarations)
+    compiled = WrapperLibrary(hardened86.declarations)
     base_interpreted = standard_runtime()
     base_compiled = standard_runtime()
     mismatches = 0

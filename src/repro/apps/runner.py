@@ -78,7 +78,6 @@ def run_application(
     wrapped: bool = True,
     runtime_factory: Callable[[], LibcRuntime] = standard_runtime,
     telemetry=NULL_TELEMETRY,
-    compiled: bool = True,
 ) -> RunMetrics:
     """Execute one application once, per its process profile.
 
@@ -105,7 +104,6 @@ def run_application(
                             policy=policy,
                             check_config=CheckConfig(),
                             telemetry=telemetry,
-                            compiled=compiled,
                         )
 
                     def call(name: str, *args):
@@ -144,26 +142,14 @@ def table2_row(
     declarations: dict[str, FunctionDeclaration],
     repeats: int = 3,
     telemetry=NULL_TELEMETRY,
-    compiled: bool = True,
 ) -> Table2Row:
-    """Compute one application's Table 2 row (best-of-N timing).
-
-    ``compiled`` selects the robust wrapper's checker implementation
-    (compiled CheckPrograms vs the per-call interpreter) so the bench
-    suite can report checking_overhead_pct for both.
-    """
+    """Compute one application's Table 2 row (best-of-N timing)."""
     measures = [
         run_application(app, declarations, WrapperPolicy.MEASURE, telemetry=telemetry)
         for _ in range(repeats)
     ]
     robust = [
-        run_application(
-            app,
-            declarations,
-            WrapperPolicy.ROBUST,
-            telemetry=telemetry,
-            compiled=compiled,
-        )
+        run_application(app, declarations, WrapperPolicy.ROBUST, telemetry=telemetry)
         for _ in range(repeats)
     ]
     plain = [

@@ -7,8 +7,8 @@ Layers (bottom up):
   per-function outcomes and whole campaigns;
 * :mod:`~repro.campaign.store` — the digest-keyed JSON outcome store
   (lossless :class:`~repro.injector.InjectionReport` round-trips);
-* :mod:`~repro.campaign.scheduler` — deterministic sharding plus a
-  supervised multiprocessing pool (timeout, retry, crash containment);
+* :mod:`~repro.campaign.scheduler` — the supervised multiprocessing
+  pool (timeout, retry, crash containment);
 * :mod:`~repro.campaign.runner` — the campaign driver wiring cache,
   scheduler, and checkpoint manifest together.
 """
@@ -34,9 +34,7 @@ from repro.campaign.scheduler import (
     DEFAULT_TASK_TIMEOUT,
     TaskResult,
     clamp_jobs,
-    dispatch_order,
     effective_jobs,
-    plan_shards,
     run_tasks,
 )
 from repro.campaign.store import (
@@ -63,12 +61,10 @@ __all__ = [
     "campaign_id",
     "clamp_jobs",
     "clean_cache",
-    "dispatch_order",
     "effective_jobs",
     "generator_fingerprint",
     "load_manifest",
     "outcome_digest",
-    "plan_shards",
     "report_from_payload",
     "report_to_payload",
     "run_tasks",

@@ -188,7 +188,9 @@ class CampaignRunner:
         started = time.perf_counter()
         if config.jobs > 1:
             fleet_mode = "processes"
-            workers = effective_jobs(config.jobs, len(names))
+            # The pool is sized by the functions left to inject, not
+            # by the whole campaign: cached functions need no worker.
+            workers = effective_jobs(config.jobs, len(misses))
         else:
             fleet_mode = "serial"
             workers = 1

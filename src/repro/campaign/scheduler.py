@@ -1,4 +1,4 @@
-"""Deterministic sharding and the one supervised worker pool.
+"""The one supervised worker pool.
 
 The scheduler turns a list of task names into a set of
 :class:`TaskResult`\\ s by fanning out over a ``multiprocessing`` pool
@@ -7,13 +7,12 @@ it supervises itself.  Every local parallel path runs here:
 of width one never comes here: the campaign runner injects it in its
 own process.
 
-* **Deterministic sharding** — :func:`plan_shards` stripes the task
-  list round-robin; dispatch order interleaves the shards so early
-  tasks spread across workers.  Workers *steal* from a shared queue
-  for load balance; because no code under ``src/`` draws from the
-  global ``random`` module (``tests/test_no_global_random.py`` scans
-  for it), results are bit-identical no matter which worker executes
-  a task or in what order tasks finish.
+* **Deterministic results** — tasks are queued in the order given and
+  workers *steal* from the shared queue for load balance; because no
+  code under ``src/`` draws from the global ``random`` module
+  (``tests/test_no_global_random.py`` scans for it), results are
+  bit-identical no matter which worker executes a task or in what
+  order tasks finish.
 * **Per-task timeout** — the parent timestamps every task start; a
   worker that exceeds the deadline is killed, the task retried on a
   fresh worker (bounded by ``task_retries``) or marked ``failed``.
@@ -99,28 +98,6 @@ class TaskResult:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-
-def plan_shards(names: Sequence[str], jobs: int) -> list[list[str]]:
-    """Stripe ``names`` round-robin into ``min(jobs, len(names))``
-    deterministic shards (shard *i* holds names ``i, i+jobs, …``)."""
-    width = max(1, min(jobs, len(names)))
-    shards: list[list[str]] = [[] for _ in range(width)]
-    for index, name in enumerate(names):
-        shards[index % width].append(name)
-    return shards
-
-
-def dispatch_order(names: Sequence[str], jobs: int) -> list[str]:
-    """Queue order that interleaves the shard plan: one task per shard
-    per round, so the first ``jobs`` dequeues hit distinct shards."""
-    shards = [list(s) for s in plan_shards(names, jobs)]
-    order: list[str] = []
-    while any(shards):
-        for shard in shards:
-            if shard:
-                order.append(shard.pop(0))
-    return order
 
 
 def effective_jobs(jobs: int, task_count: int | None = None) -> int:
@@ -290,7 +267,7 @@ def run_tasks(
         telemetry.counter("fleet.workers_spawned").inc()
         return _WorkerSlot(process, receiver)
 
-    for name in dispatch_order(names, width):
+    for name in names:
         task_q.put((1, name))
 
     slots: dict[int, _WorkerSlot] = {i: spawn() for i in range(width)}

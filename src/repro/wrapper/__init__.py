@@ -17,7 +17,7 @@ from repro.wrapper.program import (
     program_cache_size,
     program_for,
 )
-from repro.wrapper.relational import BUFFER_PLANS, BufferPlan, relational_violation
+from repro.wrapper.relational import BUFFER_PLANS, BufferPlan
 from repro.wrapper.state import DEFAULT_LOG_CAP, WrapperState
 from repro.wrapper.wrapper import WrapperLibrary, WrapperPolicy, WrapperStats
 
@@ -44,5 +44,4 @@ __all__ = [
     "generate_wrapper_library",
     "program_cache_size",
     "program_for",
-    "relational_violation",
 ]

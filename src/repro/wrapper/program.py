@@ -1,9 +1,9 @@
-"""Compiled wrapper check programs (the PR-5 planning trick, phase 2).
+"""Compiled wrapper check programs: the wrapper's one check path.
 
-The interpreted checker (:class:`~repro.wrapper.checks.CheckLibrary`)
-pays, on **every hardened call**, for work that only depends on the
-function's *declaration*: a fresh ``CheckLibrary`` instance, a zip over
-the argument list, a policy branch per argument, and an
+Walking a declaration per call pays, on **every hardened call**, for
+work that only depends on the function's *declaration*: a fresh
+:class:`~repro.wrapper.checks.CheckLibrary` instance, a zip over the
+argument list, a policy branch per argument, and an
 ``getattr(self, f"_check_{name}")`` dispatch per check.  Table 2 makes
 this the product — checking cost is what callers pay per call — so this
 module compiles each :class:`~repro.declarations.model.FunctionDeclaration`
@@ -37,11 +37,13 @@ never cached.  Repeat-validated arguments — the common case in
 call-intensive applications that hammer the same buffers — skip memory
 probing entirely.
 
-Soundness contract, pinned by ``tests/test_wrapper_program.py``:
+Soundness contract, pinned by ``tests/test_wrapper_program.py`` and
+the generated differential ``tests/test_wrapper_differential.py``:
 compiled programs return **decision-identical** results to the
-interpreted ``CheckLibrary`` — same accept/reject, same violation
-strings, same error codes, same ``checks_performed`` accounting —
-across the whole catalog and every :class:`CheckConfig` ablation.
+per-argument ``CheckLibrary`` walk kept in ``tests/wrapper_reference.py``
+— same accept/reject, same violation strings, same error codes, same
+``checks_performed`` accounting — across the whole catalog and every
+:class:`CheckConfig` ablation.
 """
 
 from __future__ import annotations
@@ -64,9 +66,8 @@ PROGRAM_VERSION = 1
 #: Default bound on the per-context revalidation cache.
 DEFAULT_REVALIDATE_CAP = 256
 
-#: Types whose check is cheap enough for the MINIMAL wrapper (moved
-#: here from the wrapper so both the interpreter and the compiler key
-#: off one definition).
+#: Types whose check is cheap enough for the MINIMAL wrapper: it only
+#: prevents wild pointers, not content-level problems.
 MINIMAL_CHECKED = frozenset({"NULL", "FUNCPTR", "FUNCPTR_NULL"})
 
 #: Families the MINIMAL policy treats as pointers (wild-pointer test).
@@ -74,14 +75,6 @@ POINTER_FAMILIES = ("ptr", "file", "dir", "string", "funcptr")
 
 #: One compiled step: ``(args, ctx) -> violation | None``.
 Step = Callable[[Sequence, "ProgramContext"], Optional[str]]
-
-#: Step cost classes (see :meth:`CheckProgram.run`): every compiled
-#: step is tagged with the class of work it performs so the optional
-#: cost-counting run path can attribute per-call checking cost.
-STEP_KINDS = (
-    "pass", "array", "null", "string", "scalar", "funcptr", "handler",
-    "minimal", "assertion", "relational",
-)
 
 #: ARRAY-family fusion table: name -> (read, write, allow_null).
 _ARRAY_SPECS: dict[str, tuple[bool, bool, bool]] = {
@@ -94,7 +87,7 @@ _ARRAY_SPECS: dict[str, tuple[bool, bool, bool]] = {
 }
 
 #: Types whose handler accepts unconditionally (counted no-ops, to
-#: keep ``checks_performed`` identical to the interpreter).
+#: keep ``checks_performed`` identical to ``CheckLibrary.check``).
 _PASS_TYPES = frozenset(
     {"UNCONSTRAINED", "ANY_INT", "ANY_SIZE", "ANY_REAL", "ANY_FD"}
 )
@@ -114,7 +107,7 @@ class ProgramContext(CheckLibrary):
 
     Subclasses :class:`CheckLibrary` so every primitive a compiled
     step (or a compile-time-resolved handler) touches is *the same
-    code* the interpreter runs — decision identity by construction —
+    code* ``CheckLibrary.check`` runs — decision identity by construction —
     while adding:
 
     * :meth:`bind` — one-per-call rebinding to the current runtime
@@ -206,8 +199,7 @@ class CheckProgram:
 
     ``steps`` run in declaration order (argument checks, then
     executable assertions, then relational buffer plans) and the first
-    step returning a violation string short-circuits — exactly the
-    interpreter's control flow.
+    step returning a violation string short-circuits.
     """
 
     #: The sharing key (shape + policy + config + assertion/relational
@@ -216,41 +208,19 @@ class CheckProgram:
     #: sha256 content address over (PROGRAM_VERSION, key).
     digest: str
     #: assertion names activated while this program runs (consulted by
-    #: the OPEN_FILE handler, exactly as the interpreter sets
-    #: ``active_assertions`` before dispatching).
+    #: the OPEN_FILE handler through ``active_assertions``).
     assertions: tuple[str, ...]
-    #: ``(arity_bound, step, kind)`` triples; ``kind`` is one of
-    #: :data:`STEP_KINDS` and is only consulted by the cost-counting
-    #: run path.
-    steps: tuple[tuple[int, Step, str], ...]
+    #: ``(arity_bound, step)`` pairs; a step runs only when the call
+    #: passed more than ``arity_bound`` arguments.
+    steps: tuple[tuple[int, Step], ...]
 
-    def run(
-        self,
-        args: Sequence,
-        ctx: ProgramContext,
-        costs: Optional[dict] = None,
-    ) -> Optional[str]:
-        """Evaluate every step; first violation wins.
-
-        ``costs`` is an optional ``{kind: executions}`` accumulator
-        (see :data:`STEP_KINDS`).  The default path is untouched when
-        it is None — cost accounting is a separate loop, so disabled
-        collection adds zero per-step work.
-        """
+    def run(self, args: Sequence, ctx: ProgramContext) -> Optional[str]:
+        """Evaluate every step; first violation wins."""
         ctx.active_assertions = self.assertions
         nargs = len(args)
-        if costs is None:
-            for arity_bound, step, _kind in self.steps:
-                if arity_bound >= nargs:
-                    continue
-                violation = step(args, ctx)
-                if violation is not None:
-                    return violation
-            return None
-        for arity_bound, step, kind in self.steps:
+        for arity_bound, step in self.steps:
             if arity_bound >= nargs:
                 continue
-            costs[kind] = costs.get(kind, 0) + 1
             violation = step(args, ctx)
             if violation is not None:
                 return violation
@@ -351,12 +321,12 @@ def _compile_argument(index: int, robust) -> Optional[Step]:
         return step
 
     # Everything else (FILE/DIR/FD/MODE/FORMAT checks) reuses the
-    # interpreter's handler, resolved ONCE here instead of via the
+    # CheckLibrary handler, resolved ONCE here instead of via the
     # per-call f-string getattr dispatch.
     handler = getattr(CheckLibrary, f"_check_{name}", None)
     if handler is None:
-        # No checking function: the interpreter counts the check and
-        # treats the type as unenforceable (KeyError -> True).
+        # No checking function: the check is counted and the type
+        # treated as unenforceable (CheckLibrary.check's KeyError).
 
         def step(args, ctx):
             ctx.checks_performed += 1
@@ -373,8 +343,7 @@ def _compile_argument(index: int, robust) -> Optional[Step]:
 
 def _compile_minimal(index: int, robust) -> Optional[Step]:
     """The MINIMAL policy's wild-pointer test for one argument
-    (mirrors ``WrapperLibrary._minimal_pointer_ok``; not counted, as
-    the interpreter never routes it through ``check``)."""
+    (not counted: it never goes through ``CheckLibrary.check``)."""
     if robust.family not in POINTER_FAMILIES:
         return None
     message = f"arg {index}: wild pointer"
@@ -442,8 +411,9 @@ def _compile_assertion(
 
 
 def _compile_relational(name: str) -> Optional[Step]:
-    """The function's relational buffer plans as one step (mirrors
-    :func:`~repro.wrapper.relational.relational_violation`)."""
+    """The function's relational buffer plans as one step: the first
+    plan whose buffer cannot hold the required bytes is the
+    violation."""
     plans = BUFFER_PLANS.get(name)
     if not plans:
         return None
@@ -526,26 +496,6 @@ def program_key(
     )
 
 
-def _argument_kind(robust) -> str:
-    """The cost class of one argument check (see :data:`STEP_KINDS`)."""
-    name = robust.name
-    if name in _PASS_TYPES:
-        return "pass"
-    if name in _ARRAY_SPECS:
-        return "array"
-    if name == "NULL":
-        return "null"
-    if name in (
-        "CSTRING", "CSTRING_NULL", "WRITABLE_STRING", "WRITABLE_STRING_NULL"
-    ):
-        return "string"
-    if name in _SCALAR_PREDICATES:
-        return "scalar"
-    if name in ("FUNCPTR", "FUNCPTR_NULL"):
-        return "funcptr"
-    return "handler"
-
-
 def compile_program(
     declaration: FunctionDeclaration,
     config: CheckConfig,
@@ -555,28 +505,25 @@ def compile_program(
 ) -> CheckProgram:
     """Compile one declaration into a flattened check program."""
     key = program_key(declaration, config, minimal=minimal, relational=relational)
-    steps: list[tuple[int, Step, str]] = []
+    steps: list[tuple[int, Step]] = []
     for index, argument in enumerate(declaration.arguments):
         robust = argument.robust_type
         if minimal and robust.name not in MINIMAL_CHECKED:
             compiled = _compile_minimal(index, robust)
-            kind = "minimal"
         else:
             compiled = _compile_argument(index, robust)
-            kind = _argument_kind(robust)
         if compiled is not None:
-            # Arity bound: the interpreter zips arguments with the
-            # call's args, silently skipping declared arguments beyond
-            # the args actually passed.
-            steps.append((index, compiled, kind))
+            # Arity bound: declared arguments beyond the args actually
+            # passed are skipped, as a zip over both would.
+            steps.append((index, compiled))
     for assertion in declaration.assertions:
         compiled = _compile_assertion(assertion, declaration)
         if compiled is not None:
-            steps.append((-1, compiled, "assertion"))
+            steps.append((-1, compiled))
     if relational and not minimal:
         compiled = _compile_relational(declaration.name)
         if compiled is not None:
-            steps.append((-1, compiled, "relational"))
+            steps.append((-1, compiled))
     digest = hashlib.sha256(
         repr((PROGRAM_VERSION, key)).encode("utf-8")
     ).hexdigest()

@@ -19,25 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.wrapper.checks import CheckLibrary
-
 
 @dataclass(frozen=True)
 class BufferPlan:
     """One relational requirement: argument ``buffer_index`` must be
-    accessible for ``capacity(args, strlen)`` bytes."""
+    accessible for ``capacity(args, strlen)`` bytes.  A capacity of
+    None means the requirement cannot be computed (a prior
+    per-argument check must already have failed)."""
 
     buffer_index: int
     capacity: Callable[[Sequence[int], Callable[[int], Optional[int]]], Optional[int]]
     write: bool = True
     description: str = ""
-
-    def required_bytes(
-        self, args: Sequence[int], strlen: Callable[[int], Optional[int]]
-    ) -> Optional[int]:
-        """None means the requirement cannot be computed (a prior
-        per-argument check must already have failed)."""
-        return self.capacity(args, strlen)
 
 
 def _len_plus_1(src_index: int):
@@ -110,23 +103,3 @@ BUFFER_PLANS: dict[str, tuple[BufferPlan, ...]] = {
     "getcwd": (),  # size/ERANGE handled inside; NULL buf is legal
 }
 
-
-def relational_violation(
-    name: str, args: Sequence[int], checks: CheckLibrary
-) -> Optional[str]:
-    """Evaluate the function's buffer plans; returns a description of
-    the first violated plan, or None when all hold."""
-    plans = BUFFER_PLANS.get(name)
-    if not plans:
-        return None
-    for plan in plans:
-        required = plan.required_bytes(args, checks.string_length)
-        if required is None:
-            return f"unmeasurable requirement: {plan.description}"
-        if required <= 0:
-            continue
-        pointer = args[plan.buffer_index]
-        read = not plan.write
-        if not checks.memory_ok(pointer, required, read, plan.write):
-            return f"violated: {plan.description} (need {required} bytes)"
-    return None

@@ -29,21 +29,9 @@ from repro.libc.errno_codes import EINVAL
 from repro.libc.runtime import LibcRuntime
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sandbox import CallOutcome, CallStatus, Sandbox
-from repro.typelattice.instances import TypeInstance
-from repro.wrapper.checks import CheckConfig, CheckLibrary
-from repro.wrapper.program import (
-    MINIMAL_CHECKED,
-    CheckProgram,
-    ProgramContext,
-    program_for,
-)
-from repro.wrapper.relational import relational_violation
+from repro.wrapper.checks import CheckConfig
+from repro.wrapper.program import CheckProgram, ProgramContext, program_for
 from repro.wrapper.state import DEFAULT_LOG_CAP, WrapperState
-
-#: Types whose check is cheap enough for the MINIMAL wrapper: it only
-#: prevents wild pointers, not content-level problems.  (Definition
-#: lives in repro.wrapper.program so the compiler shares it.)
-_MINIMAL_CHECKED = MINIMAL_CHECKED
 
 
 class WrapperPolicy(enum.Enum):
@@ -71,11 +59,6 @@ class WrapperStats:
     revalidate_hits: int = 0
     revalidate_misses: int = 0
     batched_calls: int = 0
-    #: per-step-class check executions (see
-    #: :data:`repro.wrapper.program.STEP_KINDS`); populated only when
-    #: the library was built with ``collect_step_costs=True`` — the
-    #: default run path never touches it.
-    step_costs: dict[str, int] = field(default_factory=dict)
 
     def record_call(self, name: str) -> None:
         self.calls += 1
@@ -94,9 +77,7 @@ class WrapperLibrary:
         wrap_safe: bool = False,
         step_budget: int = 1_000_000,
         telemetry=NULL_TELEMETRY,
-        compiled: bool = True,
         max_log_entries: int = DEFAULT_LOG_CAP,
-        collect_step_costs: bool = False,
     ) -> None:
         self.declarations = declarations
         self.policy = policy
@@ -104,8 +85,6 @@ class WrapperLibrary:
         self.relational = relational
         self.wrap_safe = wrap_safe
         self.telemetry = telemetry
-        self.compiled = compiled
-        self.collect_step_costs = collect_step_costs
         self.state = WrapperState(max_log=max_log_entries)
         self.stats = WrapperStats()
         #: per-function compiled programs (shared process-wide through
@@ -223,17 +202,6 @@ class WrapperLibrary:
             return [self.call(name, args, runtime) for name, args in calls]
 
     # ------------------------------------------------------------------
-    def _check_arguments(
-        self,
-        declaration: FunctionDeclaration,
-        args: Sequence,
-        runtime: LibcRuntime,
-        name: str,
-    ) -> Optional[str]:
-        if self.compiled:
-            return self._check_arguments_compiled(declaration, args, runtime, name)
-        return self._check_arguments_interpreted(declaration, args, runtime, name)
-
     def _program_for(self, name: str, declaration: FunctionDeclaration) -> CheckProgram:
         program = self._programs.get(name)
         if program is None:
@@ -254,120 +222,27 @@ class WrapperLibrary:
                 ).inc()
         return program
 
-    def _check_arguments_compiled(
+    def _check_arguments(
         self,
         declaration: FunctionDeclaration,
         args: Sequence,
         runtime: LibcRuntime,
         name: str,
     ) -> Optional[str]:
+        """Run the function's compiled check program: the violation
+        that rejects the call, or None."""
         program = self._program_for(name, declaration)
         ctx = self._context
         ctx.bind(runtime)
         ctx.checks_performed = 0
         ctx.revalidate_hits = 0
         ctx.revalidate_misses = 0
-        costs = {} if self.collect_step_costs else None
         try:
-            return program.run(args, ctx, costs)
+            return program.run(args, ctx)
         finally:
             self.stats.checks += ctx.checks_performed
             self.stats.revalidate_hits += ctx.revalidate_hits
             self.stats.revalidate_misses += ctx.revalidate_misses
-            if costs:
-                step_costs = self.stats.step_costs
-                emit = self.telemetry.enabled
-                for kind, count in costs.items():
-                    step_costs[kind] = step_costs.get(kind, 0) + count
-                    if emit:
-                        self.telemetry.counter(
-                            "wrapper.step_cost", kind=kind
-                        ).inc(count)
-
-    def _check_arguments_interpreted(
-        self,
-        declaration: FunctionDeclaration,
-        args: Sequence,
-        runtime: LibcRuntime,
-        name: str,
-    ) -> Optional[str]:
-        checks = CheckLibrary(runtime, self.state, self.check_config)
-        checks.active_assertions = declaration.assertions
-        try:
-            for index, (argument, value) in enumerate(
-                zip(declaration.arguments, args)
-            ):
-                robust = argument.robust_type
-                if (
-                    self.policy is WrapperPolicy.MINIMAL
-                    and robust.name not in _MINIMAL_CHECKED
-                ):
-                    if not self._minimal_pointer_ok(robust, value, checks):
-                        return f"arg {index}: wild pointer"
-                    continue
-                try:
-                    ok = checks.check(robust, value)
-                except KeyError:
-                    ok = True  # no checking function: type is unenforceable
-                if not ok:
-                    return f"arg {index}: not in V({robust.render()})"
-            for assertion in declaration.assertions:
-                failure = self._run_assertion(assertion, declaration, args, runtime)
-                if failure is not None:
-                    return failure
-            if self.relational and self.policy is not WrapperPolicy.MINIMAL:
-                violation = relational_violation(name, list(args), checks)
-                if violation is not None:
-                    return violation
-            return None
-        finally:
-            self.stats.checks += checks.checks_performed
-
-    @staticmethod
-    def _minimal_pointer_ok(
-        robust: TypeInstance, value, checks: CheckLibrary
-    ) -> bool:
-        """MINIMAL policy: only reject NULL/unmapped pointers for
-        pointer-typed arguments."""
-        pointer_families = ("ptr", "file", "dir", "string", "funcptr")
-        if robust.family not in pointer_families:
-            return True
-        if robust.name.endswith("_NULL") or robust.name in ("UNCONSTRAINED", "NULL"):
-            if value == 0:
-                return True
-        return checks.memory_ok(value, 1, True, False) or value == 0
-
-    def _run_assertion(
-        self,
-        assertion: str,
-        declaration: FunctionDeclaration,
-        args: Sequence,
-        runtime: LibcRuntime,
-    ) -> Optional[str]:
-        """Executable assertions from the manual edits (section 6)."""
-        if assertion == "track_dir":
-            if args and not self.state.assert_tracked_dir(args[0]):
-                return "DIR* was not returned by opendir"
-        elif assertion == "track_file":
-            index = next(
-                (
-                    i
-                    for i, arg_decl in enumerate(declaration.arguments)
-                    if arg_decl.robust_type.family == "file"
-                    or "FILE" in arg_decl.ctype
-                ),
-                None,
-            )
-            if index is not None and index < len(args):
-                allow_null = declaration.arguments[index].robust_type.name.endswith(
-                    "_NULL"
-                )
-                if not self.state.assert_tracked_file(args[index], allow_null):
-                    return "FILE* is not an open stream of this process"
-        elif assertion == "strtok_state":
-            if args and not self.state.assert_strtok_state(runtime, args[0]):
-                return "strtok(NULL, ...) without a saved position"
-        return None
 
     # ------------------------------------------------------------------
     def _reject(

@@ -112,6 +112,23 @@ class TestCampaignCommand:
         assert len(stores["serial"]) == 3
         assert stores["jobs"] == stores["serial"]
 
+    def test_pool_width_counts_only_the_misses(self, tmp_path, capsys):
+        # Four of five functions are warm, so the --jobs 2 pool runs
+        # one worker; the summary and the manifest must say so.
+        functions = ["abs", "labs", "atoi", "toupper", "strlen"]
+        cache = str(tmp_path / "cache")
+        assert main(["campaign", "run", *functions[:4], "--cache-dir", cache]) == 0
+        capsys.readouterr()
+        assert main(
+            ["campaign", "run", *functions, "--jobs", "2",
+             "--cache-dir", cache, "--json"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["cached"], doc["ran"]) == (4, 1)
+        assert doc["fleet_mode"] == "processes"
+        assert doc["workers"] == 1
+        assert load_manifest(cache)["effective_jobs"] == 1
+
 
 class TestDuplicateNames:
     """A function named twice is injected once, at either width."""

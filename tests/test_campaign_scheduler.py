@@ -1,33 +1,9 @@
-"""Tests for the campaign scheduler (sharding + supervised pool)."""
+"""Tests for the campaign scheduler (the supervised pool)."""
 
 import pytest
 
-from repro.campaign import dispatch_order, plan_shards, run_tasks
+from repro.campaign import run_tasks
 from tests.campaign_workers import echo, misbehave, slow_first
-
-
-class TestSharding:
-    def test_round_robin_stripes(self):
-        assert plan_shards(list("abcde"), 2) == [["a", "c", "e"], ["b", "d"]]
-        assert plan_shards(list("abcdef"), 3) == [["a", "d"], ["b", "e"], ["c", "f"]]
-
-    def test_width_never_exceeds_task_count(self):
-        assert plan_shards(["only"], 8) == [["only"]]
-        assert plan_shards([], 4) == [[]]
-
-    def test_single_shard_is_identity(self):
-        assert plan_shards(list("abc"), 1) == [list("abc")]
-
-    def test_dispatch_interleaves_shards(self):
-        # Round-robin striping followed by per-round interleaving
-        # reproduces the caller's order: the first `jobs` dequeues hit
-        # distinct shards while the global sequence stays stable.
-        assert dispatch_order(list("abcde"), 2) == list("abcde")
-        assert dispatch_order(list("abcdef"), 3) == list("abcdef")
-
-    def test_plan_is_deterministic(self):
-        names = [f"fn{i}" for i in range(17)]
-        assert plan_shards(names, 4) == plan_shards(names, 4)
 
 
 class TestRunTasksPool:
@@ -35,6 +11,14 @@ class TestRunTasksPool:
         assert run_tasks([], echo) == {}
         with pytest.raises(ValueError):
             run_tasks(["a", "a"], echo)
+
+    def test_one_worker_runs_tasks_in_the_order_given(self):
+        # Tasks are queued exactly as listed, so a single worker
+        # completes them in that order.
+        names = ["d3", "a0", "c2", "b1"]
+        order = []
+        run_tasks(names, echo, jobs=1, on_result=lambda r: order.append(r.name))
+        assert order == names
 
     def test_all_tasks_complete_despite_slow_task(self):
         names = ["w0", "x1", "y2", "z3"]

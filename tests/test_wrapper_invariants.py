@@ -147,7 +147,8 @@ def test_wrapper_is_transparent_for_valid_calls(wrapped, call):
     # robust type "might contain values for which the function
     # crashes", and symmetrically may reject values that happen not
     # to).  For worst-case-valid calls the wrapper must be invisible.
-    from repro.wrapper import CheckLibrary, WrapperState, relational_violation
+    from repro.wrapper import CheckLibrary, WrapperState
+    from tests.wrapper_reference import relational_violation
 
     checks = CheckLibrary(raw_runtime, WrapperState())
     worst_case_valid = relational_violation(name, raw_args, checks) is None

@@ -1,11 +1,12 @@
-"""PR 9: compiled CheckPrograms vs the interpreted CheckLibrary.
+"""Compiled CheckPrograms vs the interpreted reference walk.
 
 The contract under test: compiling a declaration into a
 :class:`~repro.wrapper.program.CheckProgram` changes *cost*, never
-*decisions*.  The golden sweep drives both checker implementations
-through the full 86-function Ballista catalog under every
-``CheckConfig`` ablation and asserts bit-identical outcomes — status,
-return value, errno, detail — plus identical check accounting.
+*decisions*.  The golden sweep drives the wrapper and the reference
+walk in ``wrapper_reference.py`` through the full 86-function Ballista
+catalog under every ``CheckConfig`` ablation and asserts bit-identical
+outcomes — status, return value, errno, detail — plus identical check
+accounting.
 """
 
 import dataclasses
@@ -27,14 +28,7 @@ from repro.wrapper import (
     program_for,
 )
 from repro.wrapper.program import ProgramContext
-
-#: Every CheckConfig ablation the benches exercise.
-CONFIGS = {
-    "default": CheckConfig(),
-    "stateless": CheckConfig(stateful=False),
-    "exhaustive-probe": CheckConfig(page_probe=False),
-    "page-granular": CheckConfig(page_granularity=True),
-}
+from tests.wrapper_reference import CONFIGS, ReferenceWrapper
 
 #: Per-function cap for the golden sweeps: enough combos to hit every
 #: pool value class (every test carries >= 1 exceptional value) while
@@ -72,8 +66,8 @@ def _run_one(test, wrapper, base):
 
 def _assert_golden(declarations, policy, config, cap=GOLDEN_CAP):
     harness = BallistaHarness(test_cap=cap)
-    interpreted = WrapperLibrary(declarations, policy, config, compiled=False)
-    compiled = WrapperLibrary(declarations, policy, config, compiled=True)
+    interpreted = ReferenceWrapper(declarations, policy, config)
+    compiled = WrapperLibrary(declarations, policy, config)
     base_interpreted = standard_runtime()
     base_compiled = standard_runtime()
     rejections = 0
@@ -125,8 +119,8 @@ class TestGoldenEquivalence:
         runtime = standard_runtime()
         dst = runtime.space.map_region(16).base
         src = runtime.space.alloc_cstring(b"x" * 64).base
-        for compiled in (False, True):
-            wrapper = WrapperLibrary(declarations, compiled=compiled)
+        for wrapper_class in (ReferenceWrapper, WrapperLibrary):
+            wrapper = wrapper_class(declarations)
             outcome = wrapper.call("strcpy", [dst, src], runtime.fork())
             assert outcome.status is CallStatus.RETURNED
             assert outcome.errno == EINVAL
@@ -134,11 +128,11 @@ class TestGoldenEquivalence:
 
     def test_truncated_argument_lists_match(self, declarations86):
         # zip semantics: declared arguments beyond the args actually
-        # passed are silently skipped by the interpreter's zip; the
+        # passed are silently skipped by the reference's zip; the
         # compiled per-argument steps carry an arity bound for parity.
         runtime = standard_runtime()
-        interpreted = WrapperLibrary(declarations86, compiled=False)
-        compiled = WrapperLibrary(declarations86, compiled=True)
+        interpreted = ReferenceWrapper(declarations86)
+        compiled = WrapperLibrary(declarations86)
 
         def key(wrapper, name, args):
             # Relational plans legitimately escape with IndexError on
@@ -197,7 +191,7 @@ class TestProgramSharing:
         assert one.digest != ablated.digest
 
     def test_wrapper_counts_program_economics(self, declarations86):
-        wrapper = WrapperLibrary(declarations86, compiled=True)
+        wrapper = WrapperLibrary(declarations86)
         runtime = standard_runtime()
         pointer = runtime.space.alloc_cstring(b"hi").base
         wrapper.call("strlen", [pointer], runtime)
@@ -267,7 +261,7 @@ class TestRevalidationCache:
         assert len(ctx._mem_cache) <= 4
 
     def test_wrapper_hits_across_calls(self, declarations86):
-        wrapper = WrapperLibrary(declarations86, compiled=True)
+        wrapper = WrapperLibrary(declarations86)
         runtime = standard_runtime()
         source = runtime.space.alloc_cstring(b"hello").base
         buffer = runtime.space.map_region(64).base
@@ -368,51 +362,3 @@ class TestBatchEntryPoints:
         assert results[0] is not None
         assert results[1] is None
 
-
-class TestStepCosts:
-    """Per-step-class cost counters (``WrapperStats.step_costs``)."""
-
-    def _exercise(self, declarations86, **kwargs):
-        wrapper = WrapperLibrary(declarations86, compiled=True, **kwargs)
-        runtime = standard_runtime()
-        source = runtime.space.alloc_cstring(b"hello").base
-        buffer = runtime.space.map_region(64).base
-        wrapper.call("strcpy", [buffer, source], runtime)
-        wrapper.call("memset", [buffer, 0, 64], runtime)
-        wrapper.call("strlen", [source], runtime)
-        return wrapper
-
-    def test_disabled_by_default_and_untouched(self, declarations86):
-        wrapper = self._exercise(declarations86)
-        assert wrapper.collect_step_costs is False
-        assert wrapper.stats.step_costs == {}
-
-    def test_collects_per_class_counts(self, declarations86):
-        from repro.wrapper.program import STEP_KINDS
-
-        wrapper = self._exercise(declarations86, collect_step_costs=True)
-        costs = wrapper.stats.step_costs
-        assert costs, "no step costs collected"
-        assert set(costs) <= set(STEP_KINDS)
-        assert all(
-            isinstance(count, int) and count > 0 for count in costs.values()
-        )
-
-    def test_collection_does_not_change_decisions(self, declarations86):
-        plain = self._exercise(declarations86)
-        counted = self._exercise(declarations86, collect_step_costs=True)
-        assert counted.stats.checks == plain.stats.checks
-        assert counted.stats.violations == plain.stats.violations
-        assert counted.stats.forwarded == plain.stats.forwarded
-
-    def test_exported_through_telemetry(self, declarations86):
-        from repro.obs import Telemetry
-        from repro.obs.metrics import render_prometheus
-
-        telemetry = Telemetry()
-        wrapper = self._exercise(
-            declarations86, collect_step_costs=True, telemetry=telemetry
-        )
-        assert wrapper.stats.step_costs
-        rendered = render_prometheus(telemetry.registry)
-        assert "wrapper_step_cost" in rendered
