@@ -12,7 +12,9 @@ scale the paper's Figure 6 uses:
 
 The same test list can be replayed three ways: direct calls
 (unwrapped), through the fully automated wrapper, and through the
-semi-automatically hardened wrapper.
+semi-automatically hardened wrapper.  Every sweep runs its tests one
+function at a time through one path, in process or sharded over the
+campaign scheduler's worker pool.
 """
 
 from __future__ import annotations
@@ -179,147 +181,121 @@ class BallistaHarness:
     ) -> BallistaReport:
         """Execute every test; each runs in a fork of a standard runtime.
 
-        With ``jobs > 1`` the sweep is sharded by function over the
-        campaign scheduler's worker pool: each worker re-enumerates
-        the identical (deterministic) global test list, rebuilds the
-        wrapper from the declarations, and executes its functions'
-        tests; the parent assembles records in enumeration order, so
-        the report is identical to a serial run.  Sweeps whose wrapper
-        cannot be reconstructed in a worker fall back to serial
-        execution (a ``ballista.serial_fallback`` telemetry event names
-        the reason).
+        The tests are grouped by function and every group runs through
+        :func:`_run_function`: in this process with one job, otherwise as
+        one task per function on the campaign scheduler's worker pool.
+        Either way the records are assembled function by function in
+        test-list order, so a sharded report equals an in-process one.
 
         The run's fault models (see :mod:`repro.faults`) arm one scenario
         per test, cycling through each function's scenario list in
         deterministic test order — the environmental-fault variant of
-        the sweep.  Armed sweeps always run serially.
+        the sweep.  The cycle is per function, so sharding leaves it
+        unchanged.
         """
-        models = run.models()
-        if jobs > 1:
-            blocker = self._sharding_blocker(wrapper)
-            if models:
-                blocker = "fault models armed"
-            if blocker is None:
-                return self._run_sharded(wrapper, configuration, jobs)
-            self.telemetry.event("ballista.serial_fallback", reason=blocker)
-        scenario_cycle = self._scenario_cycle(models)
-        seen_per_function: dict[str, int] = {}
-        telemetry = self.telemetry.scope(configuration=configuration)
-        report = BallistaReport(configuration)
-        sandbox = Sandbox(telemetry=telemetry)
-        base = standard_runtime()
-        status_counters = {
-            status: telemetry.counter("ballista.tests", status=status)
-            for status in ("crash", "errno", "silent")
-        }
-        with telemetry.span("campaign", kind="ballista") as campaign:
-            for test in self.tests():
-                armed = None
-                cycle = scenario_cycle.get(test.function, ())
-                if cycle:
-                    index = seen_per_function.get(test.function, 0)
-                    seen_per_function[test.function] = index + 1
-                    armed = cycle[index % len(cycle)]
-                with telemetry.span(
-                    "ballista.test", function=test.function
-                ) as test_span:
-                    status, detail = _execute_test(
-                        test, sandbox, base, wrapper, armed
-                    )
-                    test_span.set(status=status)
-                status_counters[status].inc()
-                report.records.append(TestRecord(test, status, detail))
-            campaign.set(
-                configuration=configuration,
-                tests=report.total,
-                crashes=report.count("crash"),
-            )
-        return report
-
-    def _scenario_cycle(self, models) -> dict[str, tuple]:
-        """Per function, the flat ``(model, scenario)`` cycle the armed
-        sweep steps through (deterministic: models arrive sorted by
-        name, scenario order is each model's enumeration order)."""
-        if not models:
-            return {}
-        cycle: dict[str, tuple] = {}
-        for spec in self.functions:
-            prototype = self.parser.parse_prototype(spec.prototype)
-            pairs = [
-                (model, scenario)
-                for model in models
-                for scenario in model.scenarios(spec, prototype)
-            ]
-            cycle[spec.name] = tuple(pairs)
-        return cycle
-
-    # ------------------------------------------------------------------
-    def _sharding_blocker(self, wrapper: Optional[WrapperLibrary]) -> Optional[str]:
-        """Why this sweep cannot be sharded, or None when it can."""
-        if wrapper is not None:
-            from repro.wrapper.checks import CheckConfig
-
-            if wrapper.check_config != CheckConfig():
-                return "non-default check_config"
-        return None
-
-    def _run_sharded(
-        self,
-        wrapper: Optional[WrapperLibrary],
-        configuration: str,
-        jobs: int,
-    ) -> BallistaReport:
-        from repro.campaign.scheduler import run_tasks
-
         telemetry = self.telemetry.scope(configuration=configuration)
         report = BallistaReport(configuration)
         grouped: dict[str, list[BallistaTest]] = {}
         for test in self.tests():
             grouped.setdefault(test.function, []).append(test)
-        env = {
-            "functions": [spec.name for spec in self.functions],
-            "test_cap": self.test_cap,
-            "total_target": self.total_target,
-            "declarations": None
-            if wrapper is None
-            else {
-                name: decl.to_xml() for name, decl in wrapper.declarations.items()
-            },
-            "policy": None if wrapper is None else wrapper.policy.name,
-            "relational": wrapper.relational if wrapper is not None else True,
-            "wrap_safe": wrapper.wrap_safe if wrapper is not None else False,
+        status_counters = {
+            status: telemetry.counter("ballista.tests", status=status)
+            for status in ("crash", "errno", "silent")
         }
-        with telemetry.span(
-            "campaign", kind="ballista", jobs=jobs
-        ) as campaign:
-            results = run_tasks(
-                list(grouped),
-                functools.partial(_ballista_task, env=env),
-                jobs=jobs,
-                telemetry=telemetry,
-            )
-            failed = {n: r.error for n, r in results.items() if not r.ok}
-            if failed:
-                summary = "; ".join(
-                    f"{name}: {error.splitlines()[-1] if error else 'failed'}"
-                    for name, error in sorted(failed.items())
-                )
-                raise RuntimeError(f"ballista shard failures — {summary}")
-            status_counters = {
-                status: telemetry.counter("ballista.tests", status=status)
-                for status in ("crash", "errno", "silent")
-            }
-            cursors = {name: iter(results[name].payload["statuses"]) for name in grouped}
-            for test in self.tests():
-                status, detail = next(cursors[test.function])
-                status_counters[status].inc()
-                report.records.append(TestRecord(test, status, detail))
+        with telemetry.span("campaign", kind="ballista", jobs=jobs) as campaign:
+            shards = None
+            if jobs > 1:
+                shards = self._run_pool(list(grouped), wrapper, jobs, run, telemetry)
+            else:
+                models = run.models()
+                sandbox = Sandbox(telemetry=telemetry)
+                base = standard_runtime()
+            for function, tests in grouped.items():
+                if shards is not None:
+                    outcomes = shards[function]
+                else:
+                    cycle = _scenario_cycle(BY_NAME[function], models, self.parser)
+                    outcomes = _run_function(
+                        tests, cycle, wrapper, sandbox, base, telemetry
+                    )
+                for test, (status, detail) in zip(tests, outcomes):
+                    status_counters[status].inc()
+                    report.records.append(TestRecord(test, status, detail))
             campaign.set(
                 configuration=configuration,
                 tests=report.total,
                 crashes=report.count("crash"),
             )
         return report
+
+    def _run_pool(
+        self,
+        functions: list[str],
+        wrapper: Optional[WrapperLibrary],
+        jobs: int,
+        run: RunSpec,
+        telemetry,
+    ) -> dict[str, list]:
+        """Each function's ``(status, detail)`` list, run on the pool."""
+        from repro.campaign.scheduler import run_tasks
+
+        env = {
+            "functions": [spec.name for spec in self.functions],
+            "test_cap": self.test_cap,
+            "total_target": self.total_target,
+            "run": run,
+            "wrapper": None
+            if wrapper is None
+            else {
+                "declarations": wrapper.declarations,
+                "policy": wrapper.policy,
+                "check_config": wrapper.check_config,
+                "relational": wrapper.relational,
+                "wrap_safe": wrapper.wrap_safe,
+                "step_budget": wrapper.sandbox.step_budget,
+            },
+        }
+        results = run_tasks(
+            functions,
+            functools.partial(_ballista_task, env=env),
+            jobs=jobs,
+            telemetry=telemetry,
+        )
+        failed = {n: r.error for n, r in results.items() if not r.ok}
+        if failed:
+            summary = "; ".join(
+                f"{name}: {error.splitlines()[-1] if error else 'failed'}"
+                for name, error in sorted(failed.items())
+            )
+            raise RuntimeError(f"ballista shard failures — {summary}")
+        return {name: result.payload["statuses"] for name, result in results.items()}
+
+
+def _scenario_cycle(spec: FunctionSpec, models, parser) -> tuple:
+    """The flat ``(model, scenario)`` cycle an armed sweep steps through
+    for one function (deterministic: models arrive sorted by name,
+    scenario order is each model's enumeration order)."""
+    if not models:
+        return ()
+    prototype = parser.parse_prototype(spec.prototype)
+    return tuple(
+        (model, scenario)
+        for model in models
+        for scenario in model.scenarios(spec, prototype)
+    )
+
+
+def _run_function(tests, cycle, wrapper, sandbox, base, telemetry):
+    """Run one function's tests in order, yielding ``(status, detail)``
+    per test; the one path of both the in-process and the pooled sweep.
+    Test ``i`` is armed with ``cycle[i % len(cycle)]`` when the cycle
+    is not empty."""
+    for index, test in enumerate(tests):
+        armed = cycle[index % len(cycle)] if cycle else None
+        with telemetry.span("ballista.test", function=test.function) as test_span:
+            status, detail = _execute_test(test, sandbox, base, wrapper, armed)
+            test_span.set(status=status)
+        yield status, detail
 
 
 def _classify(outcome: CallOutcome) -> tuple[str, str]:
@@ -337,7 +313,7 @@ def _execute_test(
     wrapper: Optional[WrapperLibrary],
     armed: Optional[tuple] = None,
 ) -> tuple[str, str]:
-    """Run one test in a fresh fork; shared by serial and sharded paths.
+    """Run one test in a fresh fork.
 
     ``armed`` is an optional ``(model, scenario)`` pair applied to the
     forked runtime (and possibly the argument list) before the call.
@@ -373,8 +349,9 @@ def _execute_test(
 
 
 #: Worker-process memo: one rebuilt (harness, grouped tests, wrapper,
-#: sandbox, base runtime) per env object — the partial carrying ``env``
-#: is pickled once per worker, so identity is stable within a worker.
+#: sandbox, base runtime, models) per env object — the partial carrying
+#: ``env`` is pickled once per worker, so identity is stable within a
+#: worker.
 _TASK_ENV_CACHE: dict[int, tuple] = {}
 
 
@@ -383,8 +360,8 @@ def _ballista_task(function: str, env: dict) -> dict:
 
     Re-enumerates the *global* deterministic test list (thinning to
     ``total_target`` depends on every function, not just this one),
-    rebuilds the wrapper from declaration XML when the sweep is
-    wrapped, and returns per-test (status, detail) pairs in
+    rebuilds the wrapper from its declarations and options when the
+    sweep is wrapped, and returns per-test (status, detail) pairs in
     enumeration order.
     """
     state = _TASK_ENV_CACHE.get(id(env))
@@ -397,32 +374,17 @@ def _ballista_task(function: str, env: dict) -> dict:
         grouped: dict[str, list[BallistaTest]] = {}
         for test in harness.tests():
             grouped.setdefault(test.function, []).append(test)
-        wrapper = None
-        if env["declarations"] is not None:
-            from repro.declarations import FunctionDeclaration
-            from repro.wrapper.wrapper import WrapperPolicy
-
-            declarations = {
-                name: FunctionDeclaration.from_xml(xml)
-                for name, xml in env["declarations"].items()
-            }
-            wrapper = WrapperLibrary(
-                declarations,
-                policy=WrapperPolicy[env["policy"]],
-                relational=env["relational"],
-                wrap_safe=env["wrap_safe"],
-            )
-        sandbox = Sandbox()
-        base = standard_runtime()
-        state = (grouped, wrapper, sandbox, base)
+        options = env["wrapper"]
+        wrapper = None if options is None else WrapperLibrary(**options)
+        models = env["run"].models()
+        state = (harness, grouped, wrapper, Sandbox(), standard_runtime(), models)
         _TASK_ENV_CACHE[id(env)] = state
-    grouped, wrapper, sandbox, base = state
-    return {
-        "statuses": [
-            list(_execute_test(test, sandbox, base, wrapper))
-            for test in grouped.get(function, [])
-        ]
-    }
+    harness, grouped, wrapper, sandbox, base, models = state
+    cycle = _scenario_cycle(BY_NAME[function], models, harness.parser)
+    outcomes = _run_function(
+        grouped[function], cycle, wrapper, sandbox, base, NULL_TELEMETRY
+    )
+    return {"statuses": list(outcomes)}
 
 
 def _thin(tests: list[BallistaTest], target: int) -> list[BallistaTest]:

@@ -336,11 +336,7 @@ class CampaignRunner:
 
             ledger = Ledger(self.config.ledger)
             run = ledger.ingest_campaign(result)
-            stats = ledger.stats()
-            telemetry.gauge("ledger.runs_total").set(stats["runs_total"])
-            telemetry.gauge("ledger.last_ingest_ts").set(
-                stats["last_ingest_ts"]
-            )
+            ledger.publish_gauges(telemetry)
             telemetry.event(
                 "campaign.ledger", run=run.id, deduped=run.deduped,
             )

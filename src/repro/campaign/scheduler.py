@@ -7,29 +7,33 @@ it supervises itself.  Every local parallel path runs here:
 of width one never comes here: the campaign runner injects it in its
 own process.
 
-* **Deterministic results** — tasks are queued in the order given and
-  workers *steal* from the shared queue for load balance; because no
-  code under ``src/`` draws from the global ``random`` module
+* **Parent-side dispatch** — each worker owns one duplex ``Pipe``.
+  The parent keeps the pending tasks in the order given and sends a
+  worker its next ``(attempt, name)`` when it spawns and after each
+  result it reports, so the parent always knows which task every
+  worker holds and no task can be lost.  Because no code under
+  ``src/`` draws from the global ``random`` module
   (``tests/test_no_global_random.py`` scans for it), results are
   bit-identical no matter which worker executes a task or in what
   order tasks finish.
-* **Per-task timeout** — the parent timestamps every task start; a
-  worker that exceeds the deadline is killed, the task retried on a
-  fresh worker (bounded by ``task_retries``) or marked ``failed``.
+* **Per-task timeout** — a worker reports ``start`` when it picks a
+  task up and the parent times the task from there; a worker that
+  exceeds the deadline is killed, the task retried on a fresh worker
+  (bounded by ``task_retries``) or marked ``failed``.
 * **Heartbeats** — every worker beats from a side thread each
   :data:`HEARTBEAT_INTERVAL`; a worker alive but silent past
   ``heartbeat_timeout`` (stopped, or wedged outside the interpreter)
   is killed and its task retried, even when ``timeout`` is None.
 * **Graceful degradation** — a crashed worker (raised, killed, or
   died outright) fails only its current task; the pool respawns a
-  replacement and the campaign continues.  Dispatch is per task, so a
-  dead worker strands nothing but the task it was running.
+  replacement and the campaign continues.  A task sent to a worker
+  that dies before reporting ``start`` goes back to the front of the
+  pending tasks at the same attempt: the task never ran.
 
-Results travel over one ``Pipe`` per worker rather than a shared
-``multiprocessing.Queue``: ``Connection.send`` writes synchronously
-(no feeder thread), so a worker that dies right after reporting can
-not lose the report, and worker death itself surfaces as EOF on its
-pipe instead of needing liveness polling.
+``Connection.send`` writes synchronously (no feeder thread), so a
+worker that dies right after reporting cannot lose the report, and
+worker death itself surfaces as EOF on its pipe instead of needing
+liveness polling.
 
 Chaos hook
 ----------
@@ -51,6 +55,7 @@ import os
 import signal
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -75,11 +80,6 @@ CHAOS_ENV = "REPRO_FLEET_CHAOS"
 
 #: Parent poll interval while waiting on worker messages (seconds).
 _POLL = 0.05
-
-#: All workers idle + dispatched work unclaimed for this long means a
-#: task was lost in the dispatch window (worker died between dequeue
-#: and its ``start`` report); the remainder is failed, not waited on.
-_STALL_LIMIT = 30.0
 
 
 @dataclass
@@ -149,8 +149,9 @@ def maybe_chaos_exit(completed: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _pool_worker(worker, task_q, conn):
-    """Worker loop: announce, execute, report; never raises.
+def _pool_worker(worker, conn):
+    """Worker loop: receive a task, announce, execute, report; never
+    raises.  ``None`` from the parent means no more work.
 
     All sends share one lock because the heartbeat thread writes the
     same pipe.
@@ -176,7 +177,7 @@ def _pool_worker(worker, task_q, conn):
     completed = 0
     try:
         while True:
-            item = task_q.get()
+            item = conn.recv()
             if item is None:
                 break
             attempt, name = item
@@ -192,7 +193,7 @@ def _pool_worker(worker, task_q, conn):
                 )
             completed += 1
             maybe_chaos_exit(completed)
-    except (BrokenPipeError, EOFError, KeyboardInterrupt):
+    except (OSError, EOFError, KeyboardInterrupt):
         pass
     finally:
         stop.set()
@@ -213,8 +214,10 @@ class _WorkerSlot:
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
-        self.current: Optional[tuple[str, int]] = None  # (name, attempt)
-        self.started_at = 0.0
+        #: the (attempt, name) this worker holds, if any
+        self.current: Optional[tuple[int, str]] = None
+        #: when the worker reported ``start`` for it (None: not yet)
+        self.started_at: Optional[float] = None
         self.last_beat = time.perf_counter()
 
 
@@ -249,33 +252,44 @@ def run_tasks(
 
     methods = mp.get_all_start_methods()
     ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-    task_q = ctx.Queue()
     # Clamp the pool to the host's cores; a supervised pool is kept
     # even at width 1 so timeout policing and crash containment still
     # apply.
     width = clamp_jobs(jobs, len(names), telemetry=telemetry)
+    pending: deque[tuple[int, str]] = deque((1, name) for name in names)
+    slots: dict[int, _WorkerSlot] = {}
+    conn_to_id: dict = {}
+    next_worker_id = 0
+    results: dict[str, TaskResult] = {}
 
-    def spawn() -> _WorkerSlot:
-        receiver, sender = ctx.Pipe(duplex=False)
+    def dispatch(slot: _WorkerSlot) -> None:
+        """Hand ``slot`` the next pending task, if there is one.  A
+        send that fails (the worker is dead) puts the task back; EOF on
+        the pipe then retires the worker."""
+        slot.current = slot.started_at = None
+        if not pending:
+            return
+        task = pending.popleft()
+        try:
+            slot.conn.send(task)
+        except OSError:
+            pending.appendleft(task)
+        else:
+            slot.current = task
+
+    def spawn() -> None:
+        nonlocal next_worker_id
+        conn, child_conn = ctx.Pipe()
         process = ctx.Process(
-            target=_pool_worker,
-            args=(worker, task_q, sender),
-            daemon=True,
+            target=_pool_worker, args=(worker, child_conn), daemon=True
         )
         process.start()
-        sender.close()  # parent keeps only the read end
+        child_conn.close()  # the parent keeps only its own end
         telemetry.counter("fleet.workers_spawned").inc()
-        return _WorkerSlot(process, receiver)
-
-    for name in names:
-        task_q.put((1, name))
-
-    slots: dict[int, _WorkerSlot] = {i: spawn() for i in range(width)}
-    conn_to_id = {slot.conn: wid for wid, slot in slots.items()}
-    next_worker_id = width
-    results: dict[str, TaskResult] = {}
-    attempts_used: dict[str, int] = {}
-    last_activity = time.perf_counter()
+        slot = slots[next_worker_id] = _WorkerSlot(process, conn)
+        conn_to_id[conn] = next_worker_id
+        next_worker_id += 1
+        dispatch(slot)
 
     def finalize(result: TaskResult) -> None:
         telemetry.counter("campaign.tasks", status=result.status).inc()
@@ -284,22 +298,19 @@ def run_tasks(
             on_result(result)
 
     def retry_or_fail(name: str, attempt: int, error: str) -> None:
-        attempts_used[name] = attempt
-        if name in results:
-            return
         if attempt <= task_retries:
-            task_q.put((attempt + 1, name))
+            pending.append((attempt + 1, name))
             telemetry.counter("fleet.task_retries").inc()
         else:
             finalize(TaskResult(name, "failed", error=error, attempts=attempt))
 
     def retire(worker_id: int, reason: Optional[str] = None) -> None:
         """Kill and reap one worker, retry or fail the task it was
-        running, and spawn its replacement.  ``reason=None`` means the
-        worker died on its own (EOF on its pipe)."""
-        nonlocal next_worker_id
+        running (or re-queue one it never started), and spawn a
+        replacement while tasks wait.  ``reason=None`` means the worker
+        died on its own (EOF on its pipe)."""
         slot = slots.pop(worker_id)
-        conn_to_id.pop(slot.conn, None)
+        del conn_to_id[slot.conn]
         slot.conn.close()
         slot.process.kill()
         slot.process.join(timeout=1.0)
@@ -307,93 +318,68 @@ def run_tasks(
             telemetry.counter("fleet.worker_deaths").inc()
             reason = f"worker died (exitcode {slot.process.exitcode})"
         if slot.current is not None:
-            name, attempt = slot.current
-            telemetry.event("fleet.worker_crash", function=name, reason=reason)
-            retry_or_fail(
-                name, attempt, f"{reason} and the retry budget is spent"
-            )
-        if len(results) < len(names):
-            replacement = spawn()
-            slots[next_worker_id] = replacement
-            conn_to_id[replacement.conn] = next_worker_id
-            next_worker_id += 1
+            attempt, name = slot.current
+            if slot.started_at is None:
+                pending.appendleft(slot.current)
+            else:
+                telemetry.event("fleet.worker_crash", function=name, reason=reason)
+                retry_or_fail(
+                    name, attempt, f"{reason} and the retry budget is spent"
+                )
+        if pending:
+            spawn()
 
     try:
+        for _ in range(width):
+            spawn()
         while len(results) < len(names):
-            if slots:
-                ready = mp_connection.wait(list(conn_to_id), timeout=_POLL)
-            else:
-                ready = []
-                time.sleep(_POLL)
+            ready = mp_connection.wait(list(conn_to_id), timeout=_POLL)
             now = time.perf_counter()
             for conn in ready:
-                worker_id = conn_to_id.get(conn)
-                if worker_id is None:
-                    continue
+                worker_id = conn_to_id[conn]
                 slot = slots[worker_id]
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
                     retire(worker_id)
-                    last_activity = now
                     continue
                 slot.last_beat = now
                 kind = message[0]
-                if kind == "hb":
-                    continue
-                last_activity = now
                 if kind == "start":
-                    slot.current = (message[1], message[2])
                     slot.started_at = now
                 elif kind == "ok":
-                    slot.current = None
                     _, name, attempt, payload, elapsed = message
-                    if name not in results:
-                        finalize(
-                            TaskResult(
-                                name, "ok", payload=payload,
-                                elapsed=elapsed, attempts=attempt,
-                            )
+                    finalize(
+                        TaskResult(
+                            name, "ok", payload=payload,
+                            elapsed=elapsed, attempts=attempt,
                         )
+                    )
+                    dispatch(slot)
                 elif kind == "err":
-                    slot.current = None
                     _, name, attempt, error = message
                     retry_or_fail(name, attempt, error)
+                    dispatch(slot)
 
             for worker_id, slot in list(slots.items()):
                 if (
                     timeout is not None
-                    and slot.current is not None
+                    and slot.started_at is not None
                     and now - slot.started_at > timeout
                 ):
                     # Deadline policing for hung tasks.
-                    telemetry.event(
-                        "fleet.task_timeout", function=slot.current[0]
-                    )
+                    telemetry.event("fleet.task_timeout", function=slot.current[1])
                     retire(worker_id, f"timed out after {timeout:.1f}s")
-                    last_activity = now
                 elif now - slot.last_beat > heartbeat_timeout:
                     # Wedge policing: alive but silent, not even beats.
                     telemetry.event("fleet.worker_wedged", worker=worker_id)
                     retire(worker_id, "worker went silent (no heartbeats)")
-                    last_activity = now
-
-            # Stall guard for the start-report race (worker died between
-            # dequeue and announce): all workers idle, nothing arriving,
-            # yet tasks outstanding.
-            all_idle = all(slot.current is None for slot in slots.values())
-            if all_idle and now - last_activity > _STALL_LIMIT:
-                for name in names:
-                    if name not in results:
-                        finalize(
-                            TaskResult(
-                                name, "failed", error="task lost by the pool",
-                                attempts=attempts_used.get(name, 0) + 1,
-                            )
-                        )
     finally:
-        for _ in slots:
-            task_q.put(None)
+        for slot in slots.values():
+            try:
+                slot.conn.send(None)
+            except OSError:
+                pass
         deadline = time.perf_counter() + 2.0
         for slot in slots.values():
             slot.process.join(timeout=max(0.0, deadline - time.perf_counter()))
@@ -401,6 +387,4 @@ def run_tasks(
                 slot.process.terminate()
                 slot.process.join(timeout=1.0)
             slot.conn.close()
-        task_q.cancel_join_thread()
-        task_q.close()
     return results

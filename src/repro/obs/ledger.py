@@ -771,6 +771,13 @@ class Ledger:
             "last_ingest_ts": float(last["created_ts"]) if last else 0.0,
         }
 
+    def publish_gauges(self, telemetry) -> None:
+        """Set the ``ledger.runs_total`` and ``ledger.last_ingest_ts``
+        gauges on ``telemetry`` from :meth:`stats`."""
+        stats = self.stats()
+        telemetry.gauge("ledger.runs_total").set(stats["runs_total"])
+        telemetry.gauge("ledger.last_ingest_ts").set(stats["last_ingest_ts"])
+
     def campaign_runs(self) -> list[tuple[LedgerRun, list[dict]]]:
         """Campaign runs oldest→newest, each with its function rows."""
         with self._connect() as conn:

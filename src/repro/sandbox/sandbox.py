@@ -5,8 +5,9 @@ that a segmentation fault in the function under test cannot take down
 the injector (section 4.1: "a child process executes the actual
 calls").  :class:`Sandbox` provides the same contract: it runs one call,
 converts faults, hangs and aborts into a structured
-:class:`~repro.sandbox.outcome.CallOutcome`, and — in isolated mode —
-discards all side effects by running against a forked runtime.
+:class:`~repro.sandbox.outcome.CallOutcome`.  The call acts on the
+runtime it is given; callers that must discard its side effects (the
+injector, the Ballista harness) hand it a forked runtime.
 
 Every call is accounted per terminal status (:attr:`Sandbox.stats`)
 and, when a live telemetry object is supplied, recorded as a
@@ -35,11 +36,6 @@ class Sandbox:
     Args:
         step_budget: watchdog limit per call (see
             :class:`~repro.sandbox.context.Hang`).
-        isolate: when True, each call runs against a deep copy of the
-            runtime ("fork semantics"); the caller's runtime is never
-            mutated, matching the paper's child-process design.  The
-            injector uses isolation; the wrapper evaluation, which
-            needs persistent libc state (open files, heap), does not.
         telemetry: a :class:`repro.obs.Telemetry` (or a scope of one);
             defaults to the inert no-op object.
     """
@@ -47,11 +43,9 @@ class Sandbox:
     def __init__(
         self,
         step_budget: int = DEFAULT_STEP_BUDGET,
-        isolate: bool = False,
         telemetry=NULL_TELEMETRY,
     ) -> None:
         self.step_budget = step_budget
-        self.isolate = isolate
         self.telemetry = telemetry
         #: total sandboxed calls, exposed for the benches
         self.call_count = 0
@@ -86,21 +80,20 @@ class Sandbox:
         since hiding those would mask reproduction bugs.
         """
         self.call_count += 1
-        target = runtime.fork() if self.isolate else runtime
         # errno is only reported when the callee writes it, so clear
         # the "was set" tracking per call via a fresh context.  A
         # runtime armed with a simulated signal (see repro.faults)
         # gets the interrupt-delivering context subclass; the single
         # getattr keeps the unarmed hot path untouched.
-        plan = getattr(target, "pending_interrupt", None)
+        plan = getattr(runtime, "pending_interrupt", None)
         if plan is None:
-            ctx = CallContext(target, self.step_budget)
+            ctx = CallContext(runtime, self.step_budget)
         else:
-            ctx = InterruptibleContext(target, self.step_budget, plan)
+            ctx = InterruptibleContext(runtime, self.step_budget, plan)
         if not self.telemetry.enabled:
             # Hot path: with telemetry off, skip span/counter
             # construction entirely; only the local stats survive.
-            outcome = self._execute(function, arguments, target, ctx)
+            outcome = self._execute(function, arguments, runtime, ctx)
             status = outcome.status.name
             self._status_counts[status] = self._status_counts.get(status, 0) + 1
             return outcome
@@ -111,7 +104,7 @@ class Sandbox:
         except AttributeError:
             read_before = written_before = 0
         started = self._clock()
-        outcome = self._execute(function, arguments, target, ctx)
+        outcome = self._execute(function, arguments, runtime, ctx)
         status = outcome.status.name
         self._status_counts[status] = self._status_counts.get(status, 0) + 1
         counter = self._call_counters.get(status)

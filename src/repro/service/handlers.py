@@ -53,12 +53,18 @@ _REPORT_MEMO_LIMIT = 256
 
 
 def _run_injection(
-    name: str, telemetry=NULL_TELEMETRY, run: RunSpec = RunSpec()
-) -> tuple[InjectionReport, dict]:
+    name: str,
+    telemetry=NULL_TELEMETRY,
+    run: RunSpec = RunSpec(),
+    encode: bool = False,
+) -> tuple[InjectionReport, Optional[dict]]:
     """Run one function's injector in the calling (worker) thread and
-    return the report with its JSON-stable outcome payload."""
+    return the report with, when ``encode``, its JSON-stable outcome
+    payload (None otherwise)."""
     spec = BY_NAME[name]
     report = FaultInjector(spec, run=run, telemetry=telemetry).run()
+    if not encode:
+        return report, None
     return report, report_to_payload(report, spec.prototype)
 
 
@@ -82,13 +88,7 @@ class ServiceState:
             try:
                 from repro.obs.ledger import Ledger
 
-                stats = Ledger(self.ledger_path).stats()
-                self.telemetry.gauge("ledger.runs_total").set(
-                    stats["runs_total"]
-                )
-                self.telemetry.gauge("ledger.last_ingest_ts").set(
-                    stats["last_ingest_ts"]
-                )
+                Ledger(self.ledger_path).publish_gauges(self.telemetry)
             except Exception:  # noqa: BLE001 - gauges are best-effort
                 pass
         self.parser = DeclarationParser(typedef_table())
@@ -154,19 +154,22 @@ class ServiceState:
                 return report, "cache"
             self.telemetry.counter("service.cache", result="miss").inc()
 
-        async def factory() -> tuple[InjectionReport, dict]:
+        async def factory() -> InjectionReport:
             loop = asyncio.get_running_loop()
             report, payload = await loop.run_in_executor(
                 self.executor,
-                functools.partial(_run_injection, name, self.telemetry, run),
+                functools.partial(
+                    _run_injection, name, self.telemetry, run,
+                    self.store is not None,
+                ),
             )
-            if self.store is not None:
+            if payload is not None:
                 self.store.put_payload(digest, payload)
-            return report, payload
+            return report
 
         # The fresh report equals a decode of the payload just stored,
         # so waiters share it instead of decoding the payload back.
-        report, _ = await self.singleflight.run(digest, factory)
+        report = await self.singleflight.run(digest, factory)
         if self.store is not None:
             self._memoize(digest, report)
         return report, "injected"

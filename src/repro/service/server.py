@@ -162,11 +162,7 @@ class HealersService:
             run = ledger.ingest_service_rollup(
                 self.telemetry.registry.collect()
             )
-            stats = ledger.stats()
-            self.telemetry.gauge("ledger.runs_total").set(stats["runs_total"])
-            self.telemetry.gauge("ledger.last_ingest_ts").set(
-                stats["last_ingest_ts"]
-            )
+            ledger.publish_gauges(self.telemetry)
             self.telemetry.event(
                 "service.ledger", run=run.id, deduped=run.deduped
             )

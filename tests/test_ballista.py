@@ -4,8 +4,11 @@ import pytest
 
 from repro.ballista import BallistaHarness, pool_for, STRING_POOL, FILE_POOL
 from repro.cdecl import DeclarationParser, typedef_table
+from repro.injector import RunSpec
 from repro.libc.catalog import BY_NAME
 from repro.libc.runtime import standard_runtime
+from repro.obs.telemetry import Telemetry
+from repro.wrapper.checks import CheckConfig
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +120,44 @@ class TestWrappedExecution:
         for record in wrapped.records:
             if all(not v.exceptional for v in record.test.values):
                 assert record.status != "crash"
+
+
+class TestShardedSweep:
+    """The pool runs the same per-function path as the in-process
+    sweep, also for armed sweeps and non-default check configs."""
+
+    NAMES = ("fopen", "strlen", "qsort", "fprintf", "strcpy")
+    RUN = RunSpec(fault_models=("signal", "resource", "callback"))
+
+    @pytest.fixture(scope="class")
+    def wrappers(self):
+        from repro.core import HealersPipeline
+
+        hardened = HealersPipeline(functions=list(self.NAMES)).run()
+        return {
+            "unwrapped": None,
+            "full-auto": hardened.wrapper(),
+            "exhaustive-probe": hardened.wrapper(
+                check_config=CheckConfig(page_probe=False)
+            ),
+        }
+
+    @staticmethod
+    def _rows(report):
+        return [(r.test.label, r.status, r.detail) for r in report.records]
+
+    @pytest.mark.parametrize(
+        "label", ["unwrapped", "full-auto", "exhaustive-probe"]
+    )
+    def test_armed_sweep_shards_like_in_process(self, wrappers, label):
+        harness = BallistaHarness(functions=[BY_NAME[n] for n in self.NAMES])
+        wrapper = wrappers[label]
+        serial = harness.run(wrapper, label, jobs=1, run=self.RUN)
+        telemetry = Telemetry()
+        harness.telemetry = telemetry
+        sharded = harness.run(wrapper, label, jobs=2, run=self.RUN)
+        assert self._rows(sharded) == self._rows(serial)
+        spawned = telemetry.counter(
+            "fleet.workers_spawned", configuration=label
+        ).value
+        assert spawned >= 1, "the sweep did not run on the pool"

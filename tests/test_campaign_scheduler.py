@@ -1,9 +1,13 @@
 """Tests for the campaign scheduler (the supervised pool)."""
 
+import functools
+import os
+import time
+
 import pytest
 
 from repro.campaign import run_tasks
-from tests.campaign_workers import echo, misbehave, slow_first
+from tests.campaign_workers import echo, kill_idle_sibling, misbehave, slow_first
 
 
 class TestRunTasksPool:
@@ -50,3 +54,20 @@ class TestRunTasksPool:
         hang = results["hang1"]
         assert hang.status == "failed"
         assert "timed out" in hang.error
+
+    @pytest.mark.skipif(os.cpu_count() == 1, reason="needs two pool workers")
+    def test_idle_worker_killed_does_not_stall_the_pool(self, tmp_path):
+        # The worker that ran "a" sits idle when "k" kills it; a worker
+        # blocked waiting for work must not take the rest of the pool
+        # down with it, so "k" gets its retry at once.
+        started = time.monotonic()
+        results = run_tasks(
+            ["k", "a"],
+            functools.partial(kill_idle_sibling, scratch=str(tmp_path)),
+            jobs=2, task_retries=1,
+        )
+        elapsed = time.monotonic() - started
+        assert results["a"].ok
+        assert results["k"].ok, results["k"].error
+        assert results["k"].attempts == 2
+        assert elapsed < 10.0, f"the pool stalled for {elapsed:.1f}s"
